@@ -34,6 +34,7 @@ from .simulate import averaging_attack, correlate, embed, make_context, threshol
 from .trace import TraceReport, lacc_identify, ssc_trace
 from .verify import (
     AmbiguityWitness,
+    CaptureStats,
     CollisionWitness,
     ForbiddenPatternWitness,
     FramingWitness,
@@ -116,6 +117,16 @@ def _witness_json(witness) -> dict | None:
             "shared": [list(w) for w in witness.shared],
         }
     return asdict(witness)
+
+
+def _stats_json(stats: CaptureStats | None) -> dict | None:
+    if stats is None:
+        return None
+    return {
+        "pairs": stats.pairs,
+        "capture_histogram": {str(size): pairs for size, pairs in stats.histogram},
+        "max_capture": stats.max_capture,
+    }
 
 
 def _trace_json(report: TraceReport) -> dict:
@@ -208,6 +219,7 @@ def _cmd_verify(args) -> int:
         "oracle": bool(args.oracle),
         "holds": verdict.holds,
         "witness": _witness_json(verdict.witness),
+        "stats": _stats_json(verdict.stats),
     }
     report = _run_report(
         "verify",
@@ -271,6 +283,12 @@ def _cmd_simulate(args) -> int:
     if args.code is not None and args.code_flag is not None:
         raise CliError("give the code file once, positionally or via --code")
     args.code = args.code if args.code is not None else args.code_flag
+    if args.then_trace and 2 * args.t * args.eps >= 1:
+        raise CliError(
+            f"--eps {args.eps} must be below 1/(2t) = {1 / (2 * args.t):g}"
+            f" for --t {args.t}: wider bands can merge a coalition's interior"
+            " averages k/t into 0 or 1"
+        )
     code = _load_code(args.code)
     colluders = _parse_colluders(args.colluders, code)
     dim = args.dim if args.dim is not None else code.n

@@ -15,24 +15,51 @@ carries a witness that re-verifies against the raw definition; witnesses are
 chosen deterministically (lexicographically smallest failing coalition by
 member indices).
 
-``is_ssc`` decides the property through a delete-one test on the captured
-set D = desc(C0) intersect C: the coalition is pinned iff no single member
-x of C0 can be dropped from D without shrinking the descendant.  The
-literal, exponential form of the definition is kept as ``is_ssc_naive`` and
-the two are compared across randomized inputs in the test suite.  For
-length-3 codes two specialized criteria are provided: a shortened-code
-overlap test equivalent to 2-separability, and a forbidden-pattern scan
-that decides strong 2-separability on codes already known to be
-2-separable.  ``desc_cap_bound`` computes the capture bound whose value
-<= 3 is a sufficient condition for strong 2-separability.
+For t = 2 every decider reduces to the captured set D = desc({i, j}) ∩ C of
+each pair, and one engine counts them all in numpy batches.  It walks the
+pairs i < j in lexicographic order, in blocks sized by element count.  A
+pair at distance d has 2^d mixed words (word i with any of the d differing
+positions switched to word j's symbol); the engine looks the 2^d - 2 proper
+ones up in an index of the code under an additive per-position key, so a
+mixed word's key is word i's key plus one delta per switched position.
+When q^n is small the key is the exact mixed-radix index into a dense
+table; otherwise it is a random 64-bit Zobrist hash looked up with
+``searchsorted``, and every hit is confirmed exactly against the pair.  A
+pair with 2^d > M is scanned against the whole code instead.  The cost is
+about pairs x min(2^d, M) lookups, where the per-coalition path pays one
+(M x |S| x n) broadcast per coalition.  Only the few pairs a decider must
+inspect (a count above 2, or above 3 where that is the least that can
+fail) get their captured set from ``captured_indices``.  Coalitions of 3
+or more (t >= 3) keep the exact per-coalition path.  Verdicts from the
+engine carry ``CaptureStats``: pairs scanned and the captured-set size
+histogram.
+
+``is_ssc`` decides the property through a delete-one test on D: the
+coalition is pinned iff no single member x of C0 can be dropped from D
+without shrinking the descendant, so among pairs only those capturing at
+least 4 codewords need the test.  The literal, exponential form of the
+definition is kept as ``is_ssc_naive`` and the two are compared across
+randomized inputs in the test suite.  ``is_sc`` compares the pairs'
+descendants through the canonical key hash[i] + hash[j] (equal descendants
+have equal per-position symbol multisets), sorted, with each equal run
+rechecked exactly.  For length-3 codes two specialized criteria are
+provided: a shortened-code overlap test equivalent to 2-separability, and a
+forbidden-pattern scan (distance-3 pairs with |D| >= 4 only) that decides
+strong 2-separability on codes already known to be 2-separable.
+``desc_cap_bound`` computes the capture bound whose value <= 3 is a
+sufficient condition for strong 2-separability.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
+from collections import Counter
+from dataclasses import dataclass, field
+from functools import partial
+from itertools import count
 from math import comb
-from typing import Iterator, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
+
+import numpy as np
 
 from .codes import (
     Code,
@@ -47,6 +74,11 @@ from .codes import (
 DEFAULT_MAX_T = 4
 DEFAULT_SUBSET_CAP = 10_000_000
 NAIVE_CAPTURE_BOUND = 25
+# elements per numpy temporary in the capture engine (256 kB at 8 bytes);
+# a tiny code then runs as one batch and a large one in bounded memory
+_BLOCK_ELEMS = 1 << 15
+# largest q^n indexed by a dense table (int32, 8 MB) instead of hashing
+_DENSE_TABLE_MAX = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -102,11 +134,31 @@ Witness = Union[
 
 
 @dataclass(frozen=True)
+class CaptureStats:
+    """Counters behind a verdict of the pair engine.
+
+    ``pairs`` counts the pairs tallied: every pair, or, for a verdict that
+    stops at its first failing pair, the pairs up to and including it in
+    lexicographic order.  ``histogram`` holds (captured-set size, pair
+    count) by ascending size; ``max_capture`` is the largest captured set of
+    a coalition of at most two codewords (1 when there is no pair).
+    """
+
+    pairs: int
+    histogram: tuple[tuple[int, int], ...]
+    max_capture: int
+
+
+@dataclass(frozen=True)
 class Verdict:
-    """Outcome of a property check; a witness is present iff it fails."""
+    """Outcome of a property check; a witness is present iff it fails.
+
+    ``stats`` is filled by the pair engine (t = 2) and left out of equality.
+    """
 
     holds: bool
     witness: Witness | None = None
+    stats: CaptureStats | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.holds and self.witness is not None:
@@ -140,23 +192,257 @@ def index_subsets_lex(count: int, max_size: int) -> Iterator[tuple[int, ...]]:
     return walk((), 0)
 
 
+# ---------------------------------------------------------------------------
+# The pair engine: captured-set sizes of all pairs, in numpy batches.
+# ---------------------------------------------------------------------------
+
+
+def _zobrist(n: int, q: int, seed: int) -> np.ndarray:
+    """Random 64-bit key terms, one per (position, symbol)."""
+    return np.random.default_rng(seed).integers(0, 2**64, size=(n, q), dtype=np.uint64)
+
+
+def _zobrist_terms(words: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Zobrist terms of each word's symbols (M x n) and the word hashes.
+
+    Redrawn until each position's terms and the word hashes are distinct.
+    The hash is additive per position, and hash[i] + hash[j] depends only on
+    desc({i, j}): the per-position symbol multisets.
+    """
+    m, n = words.shape
+    positions = np.arange(n)
+    for seed in count():
+        zobrist = _zobrist(n, q, seed)
+        terms = zobrist[positions, words]
+        hashes = terms.sum(axis=1)
+        distinct_terms = (np.diff(np.sort(zobrist), axis=1) != 0).all()
+        if distinct_terms and np.unique(hashes).size == m:
+            return terms, hashes
+
+
+class _WordIndex:
+    """The code's words under one additive per-position key, for exact lookup.
+
+    ``terms[c, p]`` is codeword c's key term at position p and ``keys[c]``
+    their sum, so switching position p of a word from a to b moves its key
+    by terms-of-b minus terms-of-a, which is 0 exactly when a = b.  With
+    q^n <= _DENSE_TABLE_MAX the terms are mixed-radix digits and a key is an
+    exact index into ``table``; otherwise they are the Zobrist terms and
+    keys are looked up by ``searchsorted`` (hits must then be confirmed).
+    """
+
+    def __init__(self, code: Code):
+        self.words = words_array(code)
+        self.dense = code.q**code.n <= _DENSE_TABLE_MAX
+        if self.dense:
+            self.terms = self.words * code.q ** np.arange(code.n)
+            self.keys = self.terms.sum(axis=1)
+            self.table = np.full(code.q**code.n, -1, dtype=np.int32)
+            self.table[self.keys] = np.arange(code.M)
+        else:
+            self.terms, self.keys = _zobrist_terms(self.words, code.q)
+            self.order = np.argsort(self.keys)
+            self.ranked = self.keys[self.order]
+
+    def find(self, keys: np.ndarray) -> np.ndarray:
+        """Codeword index of each key, -1 where no codeword has it."""
+        if self.dense:
+            return self.table[keys]
+        at = np.minimum(np.searchsorted(self.ranked, keys), self.ranked.size - 1)
+        return np.where(self.ranked[at] == keys, self.order[at], -1)
+
+
+def _pairs_at(m: int, rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Members (i, j) of the pairs i < j < m at the given lexicographic ranks."""
+    rows = np.arange(m)
+    before = rows * (2 * m - rows - 1) // 2  # pairs whose first member is below i
+    first = np.searchsorted(before, rank, side="right") - 1
+    return first, rank - before[first] + first + 1
+
+
+def _mixed_hits(
+    index: _WordIndex, first: np.ndarray, second: np.ndarray, moves: np.ndarray
+) -> np.ndarray:
+    """How many of each pair's 2^d - 2 proper mixed words are codewords.
+
+    ``moves`` (d x pairs) holds each pair's nonzero key moves in position
+    order; row c of ``keys`` is the mixed word that switches the differing
+    positions whose rank k has bit k set in c.
+    """
+    d = moves.shape[0]
+    keys = np.empty((2**d, first.size), dtype=index.keys.dtype)
+    keys[0] = np.take(index.keys, first)
+    for k in range(d):
+        np.add(keys[: 2**k], moves[k], out=keys[2**k : 2 ** (k + 1)])
+    found = index.find(keys[1:-1])
+    if not index.dense:  # confirm each hash hit against its mixed word
+        row, col = np.nonzero(found >= 0)
+        hit = index.words[found[row, col]]
+        a, b = index.words[first[col]], index.words[second[col]]
+        cols = np.nonzero(a != b)[1].reshape(-1, d)
+        switched = np.take_along_axis(hit, cols, 1) == np.take_along_axis(b, cols, 1)
+        bits = ((row + 1)[:, None] >> np.arange(d) & 1).astype(bool)
+        exact = ((hit == a) | (hit == b)).all(axis=1) & (switched == bits).all(axis=1)
+        found[row[~exact], col[~exact]] = -1
+    return (found >= 0).sum(axis=0)
+
+
+def _capture_counts(
+    index: _WordIndex, first: np.ndarray, second: np.ndarray
+) -> np.ndarray:
+    """|desc({i, j}) ∩ C| for each pair (first[k], second[k])."""
+    # arrays run (position or mixed word) x pair, gathered with np.take:
+    # both are several times faster than row-major fancy indexing here
+    m, n = index.words.shape
+    terms = index.terms.T
+    delta = np.take(terms, second, axis=1) - np.take(terms, first, axis=1)
+    distance = (delta != 0).sum(axis=0)
+    counts = np.full(first.size, 2)
+    for d in np.flatnonzero(np.bincount(distance, minlength=2)[2:]).tolist():
+        d += 2
+        mixed = 2**d <= m
+        group = np.flatnonzero(distance == d)
+        step = max(1, _BLOCK_ELEMS // (2**d if mixed else m * n))
+        for lo in range(0, group.size, step):
+            rows = group[lo : lo + step]
+            pair_first, pair_second = np.take(first, rows), np.take(second, rows)
+            if mixed:
+                moves = np.take(delta, rows, axis=1)
+                if d < n:
+                    moves = moves.T[moves.T != 0].reshape(-1, d).T
+                counts[rows] += _mixed_hits(index, pair_first, pair_second, moves)
+            else:
+                a, b = index.words[pair_first, None], index.words[pair_second, None]
+                inside = (index.words == a) | (index.words == b)
+                counts[rows] = inside.all(axis=2).sum(axis=1)
+    return counts
+
+
+def _capture_blocks(
+    index: _WordIndex,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The engine: (first, second, counts) over every pair i < j, lexicographic.
+
+    ``counts`` holds the captured-set sizes |desc({i, j}) ∩ C|.
+    """
+    m, n = index.words.shape
+    total = m * (m - 1) // 2
+    step = max(1, _BLOCK_ELEMS // n)
+    for start in range(0, total, step):
+        first, second = _pairs_at(m, np.arange(start, min(start + step, total)))
+        yield first, second, _capture_counts(index, first, second)
+
+
+class _Tally:
+    """Accumulates the captured-set size histogram into CaptureStats."""
+
+    def __init__(self):
+        self.sizes: Counter[int] = Counter()
+
+    def add(self, counts: np.ndarray) -> None:
+        self.sizes.update(dict(enumerate(np.bincount(counts).tolist())))
+
+    def stats(self) -> CaptureStats:
+        histogram = tuple((size, n) for size, n in sorted(self.sizes.items()) if n)
+        return CaptureStats(
+            pairs=sum(self.sizes.values()),
+            histogram=histogram,
+            max_capture=max((size for size, _ in histogram), default=1),
+        )
+
+
+def _scan(
+    code: Code,
+    t: int,
+    test: Callable[[tuple[int, ...], Sequence[int]], Optional[Witness]],
+    least: int = 3,
+) -> Verdict:
+    """First coalition, lexicographically, for which ``test`` finds a witness.
+
+    ``test(coalition, captured)`` sees the coalition's sorted captured set
+    from ``captured_indices``.  t >= 3 takes every coalition that way; for
+    t = 2 the engine counts every pair's captured set and only the pairs
+    capturing at least ``least`` codewords are taken (singletons and pairs
+    capturing only themselves never fail the tests here).
+    """
+    arr = words_array(code)
+    if t > 2:
+        for coalition in index_subsets_lex(code.M, t):
+            witness = test(coalition, captured_indices(arr, coalition))
+            if witness is not None:
+                return Verdict(False, witness)
+        return Verdict(True)
+    tally = _Tally()
+    for first, second, counts in _capture_blocks(_WordIndex(code)):
+        for r in np.flatnonzero(counts >= least).tolist():
+            pair = (int(first[r]), int(second[r]))
+            witness = test(pair, captured_indices(arr, pair))
+            if witness is not None:
+                tally.add(counts[: r + 1])
+                return Verdict(False, witness, tally.stats())
+        tally.add(counts)
+    return Verdict(True, stats=tally.stats())
+
+
+def capture_stats(code: Code) -> CaptureStats:
+    """Captured-set size histogram over all pairs of the code (the engine's tally)."""
+    tally = _Tally()
+    for _, _, counts in _capture_blocks(_WordIndex(code)):
+        tally.add(counts)
+    return tally.stats()
+
+
+# ---------------------------------------------------------------------------
+# Deciders.
+# ---------------------------------------------------------------------------
+
+
+def _framing(
+    coalition: tuple[int, ...], captured: Sequence[int]
+) -> FramingWitness | None:
+    if len(captured) == len(coalition):
+        return None
+    outside = sorted(set(captured) - set(coalition))
+    return FramingWitness(
+        coalition=coalition, framed=outside[0], captured=tuple(captured)
+    )
+
+
 def is_fpc(code: Code, t: int, max_t: int = DEFAULT_MAX_T) -> Verdict:
     """Decide the t-frameproof property: desc(S) captures nothing outside S."""
     _validate_t(t, max_t)
-    arr = words_array(code)
-    for coalition in index_subsets_lex(code.M, t):
-        captured = captured_indices(arr, coalition)
-        if len(captured) != len(coalition):
-            outside = sorted(set(captured) - set(coalition))
-            return Verdict(
-                False,
-                FramingWitness(
-                    coalition=coalition,
-                    framed=outside[0],
-                    captured=tuple(captured),
-                ),
-            )
-    return Verdict(True)
+    return _scan(code, t, _framing)
+
+
+def _first_collision(code: Code, keys: np.ndarray) -> CollisionWitness | None:
+    """The scan-order first pair whose descendant an earlier pair shares.
+
+    ``keys`` are the pairs' descendant hashes in lexicographic pair order.
+    Runs of equal hashes are rechecked exactly, in the order of their second
+    member, until no later run can hold an earlier collision.
+    """
+    order = np.argsort(keys, kind="stable")
+    same = keys[order][1:] == keys[order][:-1]
+    starts = np.flatnonzero(same & ~np.concatenate([[False], same[:-1]]))
+    best: tuple[int, CollisionWitness] | None = None
+    for start in sorted(starts.tolist(), key=lambda s: order[s + 1]):
+        if best is not None and order[start + 1] >= best[0]:
+            break
+        stop = start + 1
+        while stop < same.size and same[stop]:
+            stop += 1
+        ranks = order[start : stop + 1]
+        seen: dict[tuple, tuple[int, int]] = {}
+        firsts, seconds = _pairs_at(code.M, ranks)
+        for rank, i, j in zip(ranks.tolist(), firsts.tolist(), seconds.tolist()):
+            fingerprint = descendant((code.words[i], code.words[j])).key()
+            if fingerprint in seen:
+                if best is None or rank < best[0]:
+                    witness = CollisionWitness(first=seen[fingerprint], second=(i, j))
+                    best = (rank, witness)
+                break
+            seen[fingerprint] = (i, j)
+    return None if best is None else best[1]
 
 
 def is_sc(
@@ -167,14 +453,26 @@ def is_sc(
 ) -> Verdict:
     """Decide t-separability by fingerprinting the descendant of every subset.
 
-    Hashes the canonical feasible-set fingerprint of each subset of size
-    <= t; a fingerprint collision is re-checked exactly and reported as the
-    witness pair.  Refuses instances with more than ``subset_cap`` subsets.
+    Refuses instances with more than ``subset_cap`` subsets.  For t = 2 the
+    engine hashes every pair's descendant (no singleton can share a pair's
+    descendant) and sorts the hashes; a collision is re-checked exactly and
+    reported as the witness pair.  For t >= 3 the canonical feasible-set
+    fingerprint of each subset is hashed in scan order.
     """
     _validate_t(t, max_t)
     total = sum(comb(code.M, k) for k in range(1, min(t, code.M) + 1))
     if total > subset_cap:
         raise ValueError(f"instance too large: {total} subsets above cap {subset_cap}")
+    if t == 2:
+        index = _WordIndex(code)
+        hashes = _zobrist_terms(index.words, code.q)[1]
+        tally = _Tally()
+        keys = [np.zeros(0, dtype=np.uint64)]
+        for first, second, counts in _capture_blocks(index):
+            tally.add(counts)
+            keys.append(hashes[first] + hashes[second])
+        witness = _first_collision(code, np.concatenate(keys))
+        return Verdict(witness is None, witness, tally.stats())
     seen: dict[tuple[tuple[int, ...], ...], tuple[int, ...]] = {}
     for subset in index_subsets_lex(code.M, t):
         feas = descendant(code.words[i] for i in subset)
@@ -189,6 +487,27 @@ def is_sc(
     return Verdict(True)
 
 
+def _ambiguity(
+    code: Code, coalition: tuple[int, ...], captured: Sequence[int]
+) -> AmbiguityWitness | None:
+    """The delete-one test on a coalition's captured set; a witness if it fails."""
+    target = descendant(code.words[i] for i in coalition)
+    members = set(captured)
+    for x in coalition:
+        rest = sorted(members - {x})
+        if not rest:
+            continue
+        if descendant(code.words[i] for i in rest) != target:
+            continue
+        outside = sorted(members - set(coalition))
+        if outside and descendant(code.words[i] for i in outside) == target:
+            alternative = tuple(outside)
+        else:
+            alternative = tuple(rest)
+        return AmbiguityWitness(coalition=coalition, alternative=alternative)
+    return None
+
+
 def is_ssc(code: Code, t: int, max_t: int = DEFAULT_MAX_T) -> Verdict:
     """Decide strong t-separability via the delete-one test on captured sets.
 
@@ -196,28 +515,13 @@ def is_ssc(code: Code, t: int, max_t: int = DEFAULT_MAX_T) -> Verdict:
     coalition is pinned iff desc(D minus {x}) differs from desc(C0) for
     every x in C0.  The witness prefers the disjoint alternative D minus C0
     when it has the same descendant, else D minus {x} for the first
-    failing x.
+    failing x.  For t = 2 only pairs capturing at least 4 codewords are
+    tested: dropping word i from D = {i, j, c} keeps the descendant only if
+    c repeats word i's symbol at every position where i and j differ, which
+    makes c = i.
     """
     _validate_t(t, max_t)
-    arr = words_array(code)
-    for coalition in index_subsets_lex(code.M, t):
-        target = descendant(code.words[i] for i in coalition)
-        captured = set(captured_indices(arr, coalition))
-        for x in coalition:
-            rest = sorted(captured - {x})
-            if not rest:
-                continue
-            if descendant(code.words[i] for i in rest) != target:
-                continue
-            outside = sorted(captured - set(coalition))
-            if outside and descendant(code.words[i] for i in outside) == target:
-                alternative = tuple(outside)
-            else:
-                alternative = tuple(rest)
-            return Verdict(
-                False, AmbiguityWitness(coalition=coalition, alternative=alternative)
-            )
-    return Verdict(True)
+    return _scan(code, t, partial(_ambiguity, code), least=4)
 
 
 def is_ssc_naive(
@@ -280,34 +584,36 @@ def _forbidden_patterns(c1: Word, c2: Word) -> list[frozenset[Word]]:
     ]
 
 
+def _pattern_match(
+    code: Code, pair: tuple[int, ...], captured: Sequence[int]
+) -> ForbiddenPatternWitness | None:
+    """The first forbidden pattern a distance-3 pair's captured set matches."""
+    i, j = pair
+    u, v = code.words[i], code.words[j]
+    if hamming(u, v) != 3:
+        return None
+    captured_words = frozenset(code.words[k] for k in captured)
+    for first, second in ((u, v), (v, u)):
+        patterns = _forbidden_patterns(first, second)
+        for pattern_no, pattern in enumerate(patterns, start=1):
+            if captured_words == pattern:
+                return ForbiddenPatternWitness(
+                    pair=(i, j), pattern=pattern_no, matched=tuple(captured)
+                )
+    return None
+
+
 def forbidden_type_scan(code: Code) -> Verdict:
     """Scan a length-3 code for the four forbidden captured-set patterns.
 
     On codes already verified 2-separable the verdict equals
     ``is_ssc(code, 2)``.  Both orientations of each distance-3 pair are
-    tried (the patterns are not symmetric under swapping the pair).
+    tried (the patterns are not symmetric under swapping the pair); every
+    pattern holds 4 or 5 words, so only pairs capturing at least 4 are.
     """
     if code.n != 3:
         raise ValueError("forbidden-pattern scan is defined for length-3 codes only")
-    arr = words_array(code)
-    for i, j in combinations(range(code.M), 2):
-        u, v = code.words[i], code.words[j]
-        if hamming(u, v) != 3:
-            continue
-        captured = captured_indices(arr, (i, j))
-        captured_words = frozenset(code.words[k] for k in captured)
-        for first, second in ((u, v), (v, u)):
-            for pattern_no, pattern in enumerate(
-                _forbidden_patterns(first, second), start=1
-            ):
-                if captured_words == pattern:
-                    return Verdict(
-                        False,
-                        ForbiddenPatternWitness(
-                            pair=(i, j), pattern=pattern_no, matched=tuple(captured)
-                        ),
-                    )
-    return Verdict(True)
+    return _scan(code, 2, partial(_pattern_match, code), least=4)
 
 
 def shortened_sc_check(code: Code) -> Verdict:
@@ -343,8 +649,4 @@ def desc_cap_bound(code: Code) -> int:
     """
     if code.n != 3:
         raise ValueError("capture bound is defined for length-3 codes only")
-    arr = words_array(code)
-    best = 1
-    for pair in combinations(range(code.M), 2):
-        best = max(best, len(captured_indices(arr, pair)))
-    return best
+    return capture_stats(code).max_capture

@@ -22,6 +22,7 @@ from sepcode.verify import (
     AmbiguityWitness,
     ForbiddenPatternWitness,
     FramingWitness,
+    capture_stats,
     desc_cap_bound,
     forbidden_type_scan,
     is_fpc,
@@ -230,3 +231,15 @@ def test_criterion_10_signal_pipeline_equals_combinatorics() -> None:
             assert attack_feasible_set(
                 ctx, code, coalition, eps=1e-6
             ) == coalition_feasible_set(code, coalition)
+
+
+def test_criterion_11_every_table_row_is_certified() -> None:
+    with criterion(11, "every size-table row has capture bound 3, so is SSC; < 120 s"):
+        start = time.perf_counter()
+        for q, expected in REPORTED_SIZES.items():
+            code = build_length3(q, optimal_s(q).s)
+            assert code.M == expected
+            assert desc_cap_bound(code) == 3
+        histogram = dict(capture_stats(code).histogram)  # q = 100
+        assert histogram == {2: 62_163_900, 3: 1_111_725}
+        assert time.perf_counter() - start < 120.0

@@ -85,6 +85,21 @@ def test_verify_fpc_fails_on_units(units_file, capsys) -> None:
     assert witness["captured"] == [1, 2, 3]
 
 
+def test_verify_json_carries_engine_stats(units_file, capsys) -> None:
+    rc = main(["verify", units_file, "--property", "ssc", "--t", "2", "--json"])
+    assert rc == EXIT_OK
+    stats = json.loads(capsys.readouterr().out)["result"]["stats"]
+    # the three unit pairs each capture the zero word
+    assert stats == {
+        "pairs": 6,
+        "capture_histogram": {"2": 3, "3": 3},
+        "max_capture": 3,
+    }
+    rc = main(["verify", units_file, "--property", "ssc", "--t", "3", "--json"])
+    assert rc == EXIT_FAIL
+    assert json.loads(capsys.readouterr().out)["result"]["stats"] is None
+
+
 def test_verify_sc_holds(ones_file) -> None:
     assert main(["verify", ones_file, "--property", "sc", "--t", "2"]) == EXIT_OK
 
@@ -162,6 +177,16 @@ def test_simulate_then_trace_recovers_colluders(units_file, capsys) -> None:
     report = json.loads(capsys.readouterr().out)
     assert report["result"]["match"] is True
     assert report["result"]["trace"]["colluders"] == [2, 3]
+
+
+def test_simulate_then_trace_rejects_eps_from_half_over_t(units_file, capsys) -> None:
+    args = ["simulate", units_file, "--colluders", "2,3", "--dim", "8", "--then-trace"]
+    assert main(args + ["--t", "3", "--eps", "0.2"]) == EXIT_USAGE
+    assert "1/(2t)" in capsys.readouterr().err
+    assert main(args + ["--t", "2", "--eps", "0.25"]) == EXIT_USAGE
+    assert main(args + ["--t", "3", "--eps", "0.16"]) == EXIT_OK
+    # without --then-trace no coalition bound applies
+    assert main(args[:-1] + ["--t", "3", "--eps", "0.2"]) == EXIT_OK
 
 
 def test_simulate_single_colluder_reproduces_its_bits(units_file, capsys) -> None:
