@@ -5,16 +5,13 @@ Subcommands: construct, verify, trace, simulate, compose.  Exit codes:
 error, 65 malformed code file.  Codeword labels are 1-based on the command
 line (library internals are 0-based).  Reports serialize to a single JSON
 document with sorted keys, so identical arguments and seed give
-byte-identical output.  The SEPCODE_THREADS environment variable caps
-worker parallelism (the current implementation is sequential, which any
-positive cap permits).
+byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -60,19 +57,6 @@ class CliError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse's default exit code 2 is taken by overflow
         raise CliError(message)
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("SEPCODE_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise CliError(f"SEPCODE_THREADS must be a positive integer, got {raw!r}") from None
-    if cap < 1:
-        raise CliError("SEPCODE_THREADS must be a positive integer")
-    return cap
 
 
 def _labels(indices) -> list[int]:
@@ -435,7 +419,6 @@ def build_parser() -> _Parser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
-        _thread_cap()
         args = parser.parse_args(argv)
         return args.handler(args)
     except CliError as exc:

@@ -17,18 +17,18 @@ materialized as word lists except through the bounded enumeration helper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import dataclass, field
 from itertools import product
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 Word = tuple[int, ...]
 
-# below this many matrix cells the plain-Python membership scan beats the
-# numpy broadcast (call overhead dominates on desk-scale codes)
-_VECTOR_CUTOFF = 256
+# rows converted to tuples per step while iterating a code's words, so a
+# full pass never holds the whole code as Python objects
+_ITER_BLOCK = 1024
 
 
 class CodeFormatError(ValueError):
@@ -39,56 +39,113 @@ class CodeFormatError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class Symbol:
-    """One alphabet letter: a residue modulo some base, or an absorbing marker.
+class Words(Sequence):
+    """Read-only row view of a code's (M, n) array; each row reads as a tuple.
 
-    Markers (``infinite=True``) model adjoined elements inf_0, inf_1, ...:
-    adding or multiplying a finite residue into a marker returns the marker
-    unchanged.  Construction routines compute with Symbols and relabel them
-    to plain integers before a Code is built.
+    Indexing, iteration and equality with a tuple of tuples behave as for
+    the tuple of words, but no row becomes a tuple before it is read.  A
+    slice is again a view; ``np.asarray`` returns the array itself.
     """
 
-    value: int
-    infinite: bool = False
+    __slots__ = ("_rows",)
 
-    def __post_init__(self):
-        if self.value < 0:
-            raise ValueError("symbol value must be non-negative")
+    def __init__(self, rows: np.ndarray):
+        self._rows = rows
 
-    @classmethod
-    def finite(cls, value: int, modulus: int) -> "Symbol":
-        return cls(value % modulus)
+    def __len__(self) -> int:
+        return len(self._rows)
 
-    @classmethod
-    def infinity(cls, index: int) -> "Symbol":
-        return cls(index, infinite=True)
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Words(self._rows[index])
+        return tuple(self._rows[index].tolist())
 
-    def plus(self, g: int, modulus: int) -> "Symbol":
-        """Shift by a finite residue; markers absorb the shift."""
-        if self.infinite:
-            return self
-        return Symbol((self.value + g) % modulus)
+    def __iter__(self) -> Iterator[Word]:
+        for start in range(0, len(self._rows), _ITER_BLOCK):
+            yield from map(tuple, self._rows[start : start + _ITER_BLOCK].tolist())
 
-    def times(self, g: int, modulus: int) -> "Symbol":
-        """Scale by a finite residue; markers absorb the factor."""
-        if self.infinite:
-            return self
-        return Symbol((self.value * g) % modulus)
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Words):
+            return np.array_equal(self._rows, other._rows)
+        if isinstance(other, tuple):
+            return len(other) == len(self) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
 
-    def canonical(self, finite_count: int) -> int:
-        """Relabel into 0..q-1: finite u stays u, marker i becomes finite_count + i."""
-        return finite_count + self.value if self.infinite else self.value
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if dtype is None and not copy:
+            return self._rows
+        return self._rows.astype(self._rows.dtype if dtype is None else dtype)
+
+    def __repr__(self) -> str:
+        return f"Words({len(self._rows)} x {self._rows.shape[1]})"
 
 
-@dataclass(frozen=True)
+def _symbol_dtype(q: int) -> np.dtype:
+    """Smallest unsigned dtype holding every symbol 0..q-1."""
+    if q > 2**63:  # every symbol must also fit the int64 key arithmetic
+        raise ValueError(f"alphabet size {q} above 2**63 is not supported")
+    return np.min_scalar_type(max(q - 1, 0))
+
+
+def _first_fault(words, n: int, q: int) -> str:
+    """Message for the first codeword that is not n symbols from 0..q-1."""
+    for w in words:
+        w = tuple(w.tolist() if isinstance(w, np.ndarray) else w)
+        if len(w) != n:
+            return f"codeword {w!r} does not have length {n}"
+        for sym in w:
+            if not isinstance(sym, int) or not 0 <= sym < q:
+                return f"symbol {sym!r} outside alphabet 0..{q - 1}"
+    return "codewords must be integer sequences"
+
+
+def _code_array(words, n: int, q: int) -> np.ndarray:
+    """The words as a validated, read-only (M, n) array of ``_symbol_dtype(q)``.
+
+    Faults are reported for the first faulty codeword in order: wrong
+    length, then a symbol outside the alphabet, then a repeat of an
+    earlier codeword.
+    """
+    dtype = _symbol_dtype(q)
+    try:
+        raw = np.asarray(words)
+    except (ValueError, TypeError, OverflowError):
+        raw = None
+    if raw is None or raw.ndim != 2 or raw.shape[1] != n or raw.dtype.kind not in "biu":
+        raise ValueError(_first_fault(words, n, q))
+    outside = np.flatnonzero(((raw < 0) | (raw >= q)).any(axis=1))
+    valid = outside[0] if outside.size else len(raw)
+    # another Code's words are already read-only and may be shared
+    arr = raw.astype(dtype, copy=not isinstance(words, Words))
+    rows = np.ascontiguousarray(arr[:valid])
+    keys = rows.view(np.dtype((np.void, dtype.itemsize * n))).ravel()
+    first = np.unique(keys, return_index=True)[1]
+    if first.size < valid:
+        repeat = np.ones(valid, dtype=bool)
+        repeat[first] = False
+        raise ValueError(f"duplicate codeword {tuple(rows[np.argmax(repeat)].tolist())}")
+    if outside.size:
+        raise ValueError(_first_fault(raw[valid : valid + 1], n, q))
+    arr.setflags(write=False)
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
 class Code:
-    """An (n, M, q) code: M distinct length-n words over {0, ..., q-1}."""
+    """An (n, M, q) code: M distinct length-n words over {0, ..., q-1}.
+
+    The words are held once, as the read-only (M, n) array ``array`` of the
+    smallest unsigned dtype holding q - 1, validated on construction.
+    ``words`` may be given as any (M, n) integer array, a sequence of
+    integer tuples or another Code's ``words``; it is kept as a ``Words``
+    row view of ``array``.
+    """
 
     n: int
     M: int
     q: int
-    words: tuple[Word, ...]
+    words: Words
+    array: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -99,16 +156,9 @@ class Code:
             raise ValueError("code must contain at least one codeword")
         if len(self.words) != self.M:
             raise ValueError(f"M={self.M} does not match {len(self.words)} codewords")
-        seen: set[Word] = set()
-        for w in self.words:
-            if not isinstance(w, tuple) or len(w) != self.n:
-                raise ValueError(f"codeword {w!r} does not have length {self.n}")
-            for sym in w:
-                if not isinstance(sym, int) or not 0 <= sym < self.q:
-                    raise ValueError(f"symbol {sym!r} outside alphabet 0..{self.q - 1}")
-            if w in seen:
-                raise ValueError(f"duplicate codeword {w}")
-            seen.add(w)
+        arr = _code_array(self.words, self.n, self.q)
+        object.__setattr__(self, "array", arr)
+        object.__setattr__(self, "words", Words(arr))
 
     @classmethod
     def from_words(cls, words: Iterable[Sequence[int]], q: int | None = None) -> "Code":
@@ -124,14 +174,15 @@ class Code:
             q = max(2, 1 + max(max(w) for w in tup))
         return cls(n=len(tup[0]), M=len(tup), q=q, words=tup)
 
-    @property
-    def is_binary(self) -> bool:
-        return self.q == 2
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return (self.n, self.M, self.q) == (other.n, other.M, other.q) and np.array_equal(
+            self.array, other.array
+        )
 
-    def word(self, index: int) -> Word:
-        if not 0 <= index < self.M:
-            raise ValueError(f"codeword index {index} out of range 0..{self.M - 1}")
-        return self.words[index]
+    def __hash__(self) -> int:
+        return hash((self.n, self.M, self.q, self.array.tobytes()))
 
     def __iter__(self) -> Iterator[Word]:
         return iter(self.words)
@@ -210,21 +261,12 @@ def coalition_indices(code: Code, members: Iterable[int]) -> tuple[int, ...]:
 
 
 def words_array(code: Code) -> np.ndarray:
-    """The code as an (M, n) integer array (for vectorized membership scans)."""
-    return np.asarray(code.words, dtype=np.int64)
+    """The code as a writable (M, n) int64 array, for key arithmetic."""
+    return code.array.astype(np.int64)
 
 
 def captured_indices(arr: np.ndarray, members: Sequence[int]) -> list[int]:
     """Indices of rows of ``arr`` lying in the descendant of the given rows."""
-    m, n = arr.shape
-    if m * n <= _VECTOR_CUTOFF:
-        rows = [tuple(arr[i]) for i in members]
-        allowed = [frozenset(w[j] for w in rows) for j in range(n)]
-        return [
-            i
-            for i in range(m)
-            if all(arr[i, j] in allowed[j] for j in range(n))
-        ]
     sub = arr[list(members)]
     mask = (arr[:, None, :] == sub[None, :, :]).any(axis=1).all(axis=1)
     return [int(i) for i in np.flatnonzero(mask)]
@@ -249,9 +291,8 @@ def shortened(code: Code, position: int, symbol: int) -> frozenset[Word]:
         raise ValueError(f"position {position} out of range 0..{code.n - 1}")
     if not 0 <= symbol < code.q:
         raise ValueError(f"symbol {symbol} outside alphabet 0..{code.q - 1}")
-    return frozenset(
-        w[:position] + w[position + 1 :] for w in code.words if w[position] == symbol
-    )
+    rows = code.array[code.array[:, position] == symbol]
+    return frozenset(map(tuple, np.delete(rows, position, axis=1).tolist()))
 
 
 def hamming(u: Sequence[int], v: Sequence[int]) -> int:
@@ -271,14 +312,14 @@ def hamming(u: Sequence[int], v: Sequence[int]) -> int:
 
 def parse_code_text(text: str) -> Code:
     """Parse the code text format, raising CodeFormatError with a line number."""
-    rows: list[tuple[int, list[str]]] = []
+    rows: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         content = raw.split("#", 1)[0].strip()
         if content:
-            rows.append((lineno, content.split()))
+            rows.append((lineno, content))
     if not rows:
         raise CodeFormatError('missing header line "n M q"', line=1)
-    head_line, head = rows[0]
+    head_line, head = rows[0][0], rows[0][1].split()
     if len(head) != 3:
         raise CodeFormatError('header must hold three integers "n M q"', head_line)
     try:
@@ -293,27 +334,34 @@ def parse_code_text(text: str) -> Code:
             f"expected {m} codeword lines, found {len(body)}",
             body[-1][0] if body else head_line,
         )
-    words: list[Word] = []
-    for lineno, toks in body:
+    try:
+        words = np.empty((m, max(n, 0)), dtype=_symbol_dtype(q))
+    except ValueError as exc:
+        raise CodeFormatError(str(exc), head_line) from None
+    for row, (lineno, content) in enumerate(body):
+        toks = content.split()
         if len(toks) != n:
             raise CodeFormatError(f"expected {n} symbols, found {len(toks)}", lineno)
         try:
-            w = tuple(int(tok) for tok in toks)
+            w = list(map(int, toks))
         except ValueError:
             raise CodeFormatError("symbols must be integers", lineno) from None
-        for sym in w:
-            if not 0 <= sym < q:
-                raise CodeFormatError(f"symbol {sym} outside alphabet 0..{q - 1}", lineno)
-        words.append(w)
+        if min(w) < 0 or max(w) >= q:
+            sym = next(sym for sym in w if not 0 <= sym < q)
+            raise CodeFormatError(f"symbol {sym} outside alphabet 0..{q - 1}", lineno)
+        words[row] = w
     try:
-        return Code(n=n, M=m, q=q, words=tuple(words))
+        return Code(n=n, M=m, q=q, words=words)
     except ValueError as exc:
         raise CodeFormatError(str(exc), head_line) from None
 
 
 def format_code_text(code: Code) -> str:
     lines = [f"{code.n} {code.M} {code.q}"]
-    lines.extend(" ".join(str(s) for s in w) for w in code.words)
+    names = {sym: str(sym) for sym in np.unique(code.array).tolist()}
+    for start in range(0, code.M, _ITER_BLOCK):
+        rows = code.array[start : start + _ITER_BLOCK].tolist()
+        lines.extend(" ".join(map(names.__getitem__, w)) for w in rows)
     return "\n".join(lines) + "\n"
 
 

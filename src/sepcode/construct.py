@@ -14,7 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .codes import Code, Symbol, Word
+import numpy as np
+
+from .codes import Code, Word
 
 # numerator offset of the size-maximizing s = (q + offset) / 4, by q mod 8
 _S_OFFSET = {0: -4, 1: -1, 2: 2, 3: -3, 4: 0, 5: 3, 6: -2, 7: 1}
@@ -58,18 +60,18 @@ def build_length3(q: int, s: int) -> Code:
     marker index i, a 3x3 matrix cycling (marker_i, 0, i) through the three
     positions, and last an arithmetic matrix with columns (0, j, 2j) over
     the residues.  Orbits are emitted marker matrices first, base columns
-    ascending, shifts ascending, which fixes the codeword indexing.  Markers
-    are relabeled to the top of 0..q-1 in the returned code.
+    ascending, shifts ascending, which fixes the codeword indexing.  Marker
+    i is the symbol base + i, at the top of 0..q-1.
     """
     _validate_family_params(q, s)
     base = q - s
     words: list[Word] = []
     seen: set[Word] = set()
 
-    def emit_orbit(column: tuple[Symbol, Symbol, Symbol]) -> None:
+    def emit_orbit(column: Word) -> None:
         for g in range(base):
-            shifted = tuple(sym.plus(g, base) for sym in column)
-            word = tuple(sym.canonical(base) for sym in shifted)
+            # residues shift mod base; markers (base + i) absorb the shift
+            word = tuple(sym if sym >= base else (sym + g) % base for sym in column)
             if word in seen:
                 # the orbit counting argument rules this out; fail loudly
                 raise ValueError(f"orbit collision at {word} for (q={q}, s={s})")
@@ -77,27 +79,19 @@ def build_length3(q: int, s: int) -> Code:
             words.append(word)
 
     for i in range(s):
-        marker = Symbol.infinity(i)
-        zero = Symbol.finite(0, base)
-        step = Symbol.finite(i, base)
-        emit_orbit((marker, zero, step))
-        emit_orbit((step, marker, zero))
-        emit_orbit((zero, step, marker))
+        marker = base + i
+        emit_orbit((marker, 0, i))
+        emit_orbit((i, marker, 0))
+        emit_orbit((0, i, marker))
     for j in range(base):
-        emit_orbit(
-            (
-                Symbol.finite(0, base),
-                Symbol.finite(j, base),
-                Symbol.finite(2 * j, base),
-            )
-        )
+        emit_orbit((0, j, 2 * j % base))
 
     expected = predicted_size(q, s)
     if len(words) != expected:
         raise ValueError(
             f"construction produced {len(words)} codewords, expected {expected}"
         )
-    return Code(n=3, M=expected, q=q, words=tuple(words))
+    return Code(n=3, M=expected, q=q, words=words)
 
 
 def one_hot_compose(code: Code) -> Code:
@@ -108,16 +102,8 @@ def one_hot_compose(code: Code) -> Code:
     count is preserved, and a strongly t-separable input yields a strongly
     t-separable output.
     """
-    q = code.q
-    mapped: list[Word] = []
-    for word in code.words:
-        bits: list[int] = []
-        for sym in word:
-            block = [0] * q
-            block[sym] = 1
-            bits.extend(block)
-        mapped.append(tuple(bits))
-    return Code(n=code.n * q, M=code.M, q=2, words=tuple(mapped))
+    bits = np.eye(code.q, dtype=np.uint8)[code.array].reshape(code.M, code.n * code.q)
+    return Code(n=code.n * code.q, M=code.M, q=2, words=bits)
 
 
 def size_defect(q: int) -> int:

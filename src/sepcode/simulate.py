@@ -55,18 +55,17 @@ class DetectionStatistics:
 
 
 def _orthonormalize(rows: np.ndarray) -> np.ndarray | None:
-    """Modified Gram-Schmidt with a second scrub pass; None on a tiny pivot."""
-    basis = rows.astype(float).copy()
-    for i in range(len(basis)):
-        v = basis[i]
-        for _ in range(2):
-            for j in range(i):
-                v = v - (basis[j] @ v) * basis[j]
-        norm = float(np.linalg.norm(v))
-        if norm < _PIVOT_FLOOR:
-            return None
-        basis[i] = v / norm
-    return basis
+    """Gram-Schmidt basis of the rows, by QR; None on a tiny pivot.
+
+    Rows of Q^T with the signs of diag(R) made positive are exactly what
+    Gram-Schmidt would produce, and |R_ii| is the norm of row i's component
+    outside the span of the rows before it.
+    """
+    q, r = np.linalg.qr(rows.T)
+    pivots = np.diag(r)
+    if np.min(np.abs(pivots)) < _PIVOT_FLOOR:
+        return None
+    return np.ascontiguousarray((q * np.sign(pivots)).T)
 
 
 def _gram_defect(basis: np.ndarray) -> float:
@@ -97,8 +96,6 @@ def make_context(dim: int, n: int, alpha: float, seed: int) -> EmbeddingContext:
     if basis is None:
         raise RuntimeError("could not draw a non-degenerate basis")
     if _gram_defect(basis) >= GRAM_TOLERANCE:
-        basis = _orthonormalize(basis)
-    if basis is None or _gram_defect(basis) >= GRAM_TOLERANCE:
         raise RuntimeError("basis failed to orthonormalize within tolerance")
     basis.setflags(write=False)
     host.setflags(write=False)

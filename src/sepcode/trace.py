@@ -16,15 +16,20 @@ R is the descendant of a coalition of size at most t.  Outside those
 preconditions the accused set is still reported, alongside the overflow
 verdict when it is too large.
 
-Reports carry an operation counter that tallies one unit per
-(coordinate, codeword) touch, so a full trace costs at most 2*n*M units:
-the counter is how the linear-time contract is asserted in tests.
+Both tracers run on the code's (M, n) array: one vectorized filter over the
+pinned columns, and for the strongly-separable tracer one column-sum pass
+over the candidates.  Reports carry an operation count of one unit per
+(coordinate, codeword) pair those passes cover, pinned*M for the filter
+plus n*M for the column pass, so a full trace costs at most 2*n*M units:
+the count is how the linear-time contract is asserted in tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable
+
+import numpy as np
 
 from .codes import Code, FeasibleSet, coalition_indices, descendant
 
@@ -70,15 +75,15 @@ def _require_compatible(code: Code, feasible: FeasibleSet) -> None:
             raise ValueError(f"feasible set is not binary at position {i}")
 
 
-def _pinned_rows(feasible: FeasibleSet) -> list[tuple[int, int]]:
-    """(position, forced bit) for every singleton position of R."""
-    pinned = []
-    for j, allowed in enumerate(feasible.positions):
-        if allowed == {1}:
-            pinned.append((j, 1))
-        elif allowed == {0}:
-            pinned.append((j, 0))
-    return pinned
+def _candidates(code: Code, feasible: FeasibleSet, t: int) -> tuple[np.ndarray, int]:
+    """Mask of the codewords matching every pinned position of R, and the pin count."""
+    _require_binary(code)
+    _require_compatible(code, feasible)
+    if t < 1:
+        raise ValueError("t must be at least 1")
+    pinned = [j for j, allowed in enumerate(feasible.positions) if len(allowed) == 1]
+    bits = np.array([min(feasible.positions[j]) for j in pinned], dtype=code.array.dtype)
+    return (code.array[:, pinned] == bits).all(axis=1), len(pinned)
 
 
 def coalition_feasible_set(code: Code, coalition: Iterable[int]) -> FeasibleSet:
@@ -99,27 +104,15 @@ def lacc_identify(code: Code, feasible: FeasibleSet, t: int) -> TraceReport:
     On a t-frameproof code with R produced by a coalition of at most t
     members, the accused set equals the coalition exactly.
     """
-    _require_binary(code)
-    _require_compatible(code, feasible)
-    if t < 1:
-        raise ValueError("t must be at least 1")
-    words = code.words
-    m = code.M
-    ops = 0
-    keep = [True] * m
-    for j, bit in _pinned_rows(feasible):
-        for i in range(m):
-            ops += 1
-            if words[i][j] != bit:
-                keep[i] = False
-    accused = frozenset(i for i in range(m) if keep[i])
+    keep, pinned = _candidates(code, feasible, t)
+    accused = frozenset(np.flatnonzero(keep).tolist())
     return TraceReport(
         colluders=accused,
         overflow=len(accused) > t,
         t=t,
         candidates=accused,
         evidence=(),
-        ops=ops,
+        ops=pinned * code.M,
     )
 
 
@@ -131,53 +124,29 @@ def ssc_trace(code: Code, feasible: FeasibleSet, t: int) -> TraceReport:
     carries bit 0.  On a strongly t-separable code with R the descendant of
     a coalition of at most t members, the accused set equals the coalition.
     """
-    _require_binary(code)
-    _require_compatible(code, feasible)
-    if t < 1:
-        raise ValueError("t must be at least 1")
-    words = code.words
-    m = code.M
-    ops = 0
-    keep = [True] * m
-    for j, bit in _pinned_rows(feasible):
-        for i in range(m):
-            ops += 1
-            if words[i][j] != bit:
-                keep[i] = False
-    candidates = frozenset(i for i in range(m) if keep[i])
-    if not candidates:
+    keep, pinned = _candidates(code, feasible, t)
+    rows = np.flatnonzero(keep)
+    if not rows.size:
         raise ValueError("infeasible R: no codeword matches every pinned coordinate")
+    words = code.array[rows]
+    ones = words.sum(axis=0, dtype=np.int64)
 
-    accused: set[int] = set()
-    evidence: list[tuple[int, int, int]] = []
-    for k in range(code.n):
-        ones = zeros = 0
-        one_at = zero_at = -1
-        for i in range(m):
-            ops += 1
-            if not keep[i]:
-                continue
-            if words[i][k] == 1:
-                ones += 1
-                if ones == 1:
-                    one_at = i
-            else:
-                zeros += 1
-                if zeros == 1:
-                    zero_at = i
-        if ones == 1:
-            accused.add(one_at)
-            evidence.append((k, 1, one_at))
-        if zeros == 1:
-            accused.add(zero_at)
-            evidence.append((k, 0, zero_at))
+    def carriers(columns: np.ndarray, bit: int) -> list[tuple[int, int, int]]:
+        at = (words[:, columns] == bit).argmax(axis=0)  # the first, here the only, carrier
+        return [(k, bit, i) for k, i in zip(columns.tolist(), rows[at].tolist())]
 
-    colluders = frozenset(accused)
+    # per position the unique carrier of bit 1 is reported before that of bit 0
+    sole_one, sole_zero = np.flatnonzero(ones == 1), np.flatnonzero(ones == rows.size - 1)
+    evidence = sorted(
+        carriers(sole_one, 1) + carriers(sole_zero, 0),
+        key=lambda triple: (triple[0], -triple[1]),
+    )
+    colluders = frozenset(i for _, _, i in evidence)
     return TraceReport(
         colluders=colluders,
         overflow=len(colluders) > t,
         t=t,
-        candidates=candidates,
+        candidates=frozenset(rows.tolist()),
         evidence=tuple(evidence),
-        ops=ops,
+        ops=(pinned + code.n) * code.M,
     )

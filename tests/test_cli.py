@@ -275,12 +275,3 @@ def test_missing_file_is_a_usage_error(capsys) -> None:
 
 def test_unknown_flag_is_a_usage_error(units_file, capsys) -> None:
     assert main(["verify", units_file, "--property", "ssc", "--bogus"]) == EXIT_USAGE
-
-
-def test_thread_cap_env_is_validated(units_file, monkeypatch, capsys) -> None:
-    monkeypatch.setenv("SEPCODE_THREADS", "banana")
-    assert main(["verify", units_file, "--property", "ssc"]) == EXIT_USAGE
-    monkeypatch.setenv("SEPCODE_THREADS", "0")
-    assert main(["verify", units_file, "--property", "ssc"]) == EXIT_USAGE
-    monkeypatch.setenv("SEPCODE_THREADS", "4")
-    assert main(["verify", units_file, "--property", "ssc"]) == EXIT_OK

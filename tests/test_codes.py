@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -12,11 +13,11 @@ from conftest import (
     brute_descendant_words,
     random_code,
 )
+from sepcode.construct import build_length3, one_hot_compose
 from sepcode.codes import (
     Code,
     CodeFormatError,
     FeasibleSet,
-    Symbol,
     desc_contains,
     desc_intersect_code,
     descendant,
@@ -137,13 +138,13 @@ def test_captured_set_always_contains_the_coalition() -> None:
 
 def test_captured_matches_brute_oracle_on_both_kernel_paths() -> None:
     rng = random.Random(8)
-    small = random_code(rng, n=3, max_m=8, max_q=3)  # below the vector cutoff
+    small = random_code(rng, n=3, max_m=8, max_q=3)
     big = Code.from_words(
         random.Random(9).sample(
             [(a, b, c) for a in range(5) for b in range(5) for c in range(5)], 100
         ),
         q=5,
-    )  # 300 cells, above the cutoff
+    )
     for code in (small, big):
         for _ in range(15):
             size = rng.randint(1, min(3, code.M))
@@ -248,30 +249,56 @@ def test_code_infers_alphabet_from_symbols() -> None:
     assert Code.from_words([(0, 0)]).q == 2
 
 
-def test_code_word_lookup() -> None:
-    assert ZERO_PLUS_UNITS.word(2) == (0, 1, 0)
-    with pytest.raises(ValueError, match="out of range"):
-        ZERO_PLUS_UNITS.word(4)
+def test_code_array_is_read_only() -> None:
+    code = Code.from_words([(0, 1, 2), (2, 1, 0)], q=3)
+    assert code.array.shape == (2, 3) and code.array.dtype == np.uint8
+    assert not code.array.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        code.array[0, 0] = 1
 
 
-# --------------------------------------------------------------------- Symbol
+def test_words_view_reads_like_a_tuple_of_words() -> None:
+    words = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
+    view = ZERO_PLUS_UNITS.words
+    assert view == words and words == view
+    assert len(view) == 4
+    assert view[-1] == (0, 0, 1) and view[-4] == (0, 0, 0)
+    assert view[1:3] == words[1:3]
+    assert list(view) == list(words)
+    assert view != words[:3] and view != words[::-1]
+    with pytest.raises(IndexError):
+        view[4]
 
 
-def test_symbol_marker_absorbs_shift_and_scale() -> None:
-    marker = Symbol.infinity(1)
-    for g in range(5):
-        assert marker.plus(g, 5) == marker
-        assert marker.times(g, 5) == marker
+def test_codes_from_words_array_and_view_compare_equal() -> None:
+    source = np.array([[0, 3], [2, 1], [1, 1]], dtype=np.uint8)
+    by_words = Code.from_words(source.tolist(), q=4)
+    by_array = Code(2, 3, 4, source)
+    by_view = Code(2, 3, 4, by_words.words)
+    assert by_words == by_array == by_view
+    assert hash(by_words) == hash(by_array)
+    assert by_view.array is by_words.array  # a view's array is shared, not copied
+    source[0, 0] = 1  # the caller's array is copied, not kept
+    assert by_array.words[0] == (0, 3)
+    assert by_words != Code.from_words(source.tolist(), q=4)
 
 
-def test_symbol_finite_arithmetic_reduces() -> None:
-    assert Symbol.finite(4, 5).plus(3, 5) == Symbol(2)
-    assert Symbol.finite(4, 5).times(3, 5) == Symbol(2)
-
-
-def test_symbol_canonical_relabeling() -> None:
-    assert Symbol(2).canonical(3) == 2
-    assert Symbol.infinity(1).canonical(3) == 4
+def test_code_errors_name_the_first_faulty_codeword() -> None:
+    cases = [
+        (((0, 1), (0, 1, 0)), "codeword (0, 1, 0) does not have length 2"),
+        (((0, 1), (0, 1.5)), "symbol 1.5 outside alphabet 0..1"),
+        (((0, 1), (0, 2)), "symbol 2 outside alphabet 0..1"),
+        (((0, 1), (1, -1)), "symbol -1 outside alphabet 0..1"),
+        (((0, 1), (0, 1)), "duplicate codeword (0, 1)"),
+        (((0, 1), (1, 0), (0, 5), (1, 0)), "symbol 5 outside alphabet 0..1"),
+        (((0, 1), (1, 0), (1, 0), (0, 5)), "duplicate codeword (1, 0)"),
+    ]
+    for k, (words, message) in enumerate(cases):
+        forms = [words] if k < 2 else [words, np.array(words)]
+        for form in forms:
+            with pytest.raises(ValueError) as err:
+                Code(n=2, M=len(words), q=2, words=form)
+            assert str(err.value) == message
 
 
 # ----------------------------------------------------------------- text files
@@ -303,6 +330,18 @@ def test_code_text_reports_line_numbers() -> None:
     assert err.value.line == 1
     with pytest.raises(CodeFormatError):
         parse_code_text("")
+
+
+def test_code_text_format_is_fixed() -> None:
+    composed = one_hot_compose(build_length3(3, 0))
+    assert format_code_text(composed) == (
+        "9 9 2\n"
+        "1 0 0 1 0 0 1 0 0\n0 1 0 0 1 0 0 1 0\n0 0 1 0 0 1 0 0 1\n"
+        "1 0 0 0 1 0 0 0 1\n0 1 0 0 0 1 1 0 0\n0 0 1 1 0 0 0 1 0\n"
+        "1 0 0 0 0 1 0 1 0\n0 1 0 1 0 0 0 0 1\n0 0 1 0 1 0 1 0 0\n"
+    )
+    wide = Code.from_words([(0, 11, 3), (10, 0, 1), (2, 2, 0)], q=12)
+    assert format_code_text(wide) == "3 3 12\n0 11 3\n10 0 1\n2 2 0\n"
 
 
 def test_code_text_duplicate_reported_at_header() -> None:

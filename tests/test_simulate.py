@@ -57,6 +57,21 @@ def test_context_is_deterministic_per_seed() -> None:
     assert not np.array_equal(a.basis, c.basis)
 
 
+def test_context_basis_is_gram_schmidt_of_the_seeded_draw() -> None:
+    # the seed's first draw is the host, its second the rows to orthonormalize
+    for dim, n, seed in ((8, 3, 7), (5, 5, 1), (40, 12, 3)):
+        rng = np.random.default_rng(seed)
+        rng.standard_normal(dim)
+        rows = rng.standard_normal((n, dim))
+        expected = []
+        for v in rows:
+            for u in expected:
+                v = v - (u @ v) * u
+            expected.append(v / np.linalg.norm(v))
+        basis = make_context(dim, n, 0.1, seed).basis
+        assert np.max(np.abs(basis - np.array(expected))) < 1e-12
+
+
 def test_context_arrays_are_read_only() -> None:
     ctx = make_context(8, 3, 0.1, 7)
     with pytest.raises(ValueError):
