@@ -8,7 +8,6 @@ code.  This script walks through that calculus on two tiny binary codes.
 
 from sepcode import (
     Code,
-    desc_contains,
     desc_intersect_code,
     descendant,
     format_code_text,
@@ -28,7 +27,7 @@ print("descendant of {c2, c3}:", [sorted(s) for s in feasible.positions])
 print("words the coalition can forge:", sorted(feasible.enumerate_members()))
 
 # The zero word lies inside that product even though user 1 is innocent.
-print("zero word forgeable:", desc_contains(feasible, (0, 0, 0)))
+print("zero word forgeable:", feasible.contains((0, 0, 0)))
 
 # desc_intersect_code finds every codeword the coalition captures.
 captured = desc_intersect_code(code, coalition)

@@ -262,11 +262,6 @@ def _parse_colluders(raw: str, code: Code) -> list[int]:
 
 
 def _cmd_simulate(args) -> int:
-    if args.code is None and args.code_flag is None:
-        raise CliError("a code file is required (positional or --code)")
-    if args.code is not None and args.code_flag is not None:
-        raise CliError("give the code file once, positionally or via --code")
-    args.code = args.code if args.code is not None else args.code_flag
     if args.then_trace and 2 * args.t * args.eps >= 1:
         raise CliError(
             f"--eps {args.eps} must be below 1/(2t) = {1 / (2 * args.t):g}"
@@ -395,8 +390,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser(
         "simulate", help="embed, average, and detect; optionally chain into tracing"
     )
-    p.add_argument("code", nargs="?", default=None, help="binary code file")
-    p.add_argument("--code", dest="code_flag", default=None, help="binary code file")
+    p.add_argument("code", help="binary code file")
     p.add_argument("--colluders", required=True, help="1-based labels, e.g. 2,3")
     p.add_argument("--dim", type=int, default=None, help="host dimension (default: code length)")
     p.add_argument("--alpha", type=float, default=0.1, help="embedding strength")

@@ -245,11 +245,6 @@ def descendant(words: Iterable[Sequence[int]]) -> FeasibleSet:
     return FeasibleSet(tuple(frozenset(w[i] for w in rows) for i in range(n)))
 
 
-def desc_contains(feasible: FeasibleSet, word: Sequence[int]) -> bool:
-    """True iff word(i) lies in R(i) at every position."""
-    return feasible.contains(word)
-
-
 def coalition_indices(code: Code, members: Iterable[int]) -> tuple[int, ...]:
     """Validate coalition members against a code; returns sorted distinct indices."""
     idx = sorted({int(i) for i in members})
@@ -326,6 +321,8 @@ def parse_code_text(text: str) -> Code:
         n, m, q = (int(tok) for tok in head)
     except ValueError:
         raise CodeFormatError('header must hold three integers "n M q"', head_line) from None
+    if n < 1 or m < 1 or q < 2:
+        raise CodeFormatError("header needs n >= 1, M >= 1 and q >= 2", head_line)
     body = rows[1:]
     if len(body) > m:
         raise CodeFormatError(f"expected {m} codeword lines, found more", body[m][0])
@@ -335,7 +332,7 @@ def parse_code_text(text: str) -> Code:
             body[-1][0] if body else head_line,
         )
     try:
-        words = np.empty((m, max(n, 0)), dtype=_symbol_dtype(q))
+        words = np.empty((m, n), dtype=_symbol_dtype(q))
     except ValueError as exc:
         raise CodeFormatError(str(exc), head_line) from None
     for row, (lineno, content) in enumerate(body):

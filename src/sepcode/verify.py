@@ -39,11 +39,11 @@ coalition is pinned iff no single member x of C0 can be dropped from D
 without shrinking the descendant, so among pairs only those capturing at
 least 4 codewords need the test.  The literal, exponential form of the
 definition is kept as ``is_ssc_naive`` and the two are compared across
-randomized inputs in the test suite.  ``is_sc`` compares the pairs'
-descendants through the canonical key hash[i] + hash[j] (equal descendants
-have equal per-position symbol multisets), sorted, with each equal run
-rechecked exactly.  For length-3 codes two specialized criteria are
-provided: a shortened-code overlap test equivalent to 2-separability, and a
+randomized inputs in the test suite.  ``is_sc`` looks for an earlier pair
+with the same descendant only among pairs capturing at least 4 codewords,
+since two colliding pairs are disjoint and each captures all four words.
+For length-3 codes two specialized criteria are provided: a
+shortened-code overlap test equivalent to 2-separability, and a
 forbidden-pattern scan (distance-3 pairs with |D| >= 4 only) that decides
 strong 2-separability on codes already known to be 2-separable.
 ``desc_cap_bound`` computes the capture bound whose value <= 3 is a
@@ -55,7 +55,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import count
+from itertools import combinations, count
 from math import comb
 from typing import Callable, Iterator, Optional, Sequence, Union
 
@@ -206,8 +206,6 @@ def _zobrist_terms(words: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
     """Zobrist terms of each word's symbols (M x n) and the word hashes.
 
     Redrawn until each position's terms and the word hashes are distinct.
-    The hash is additive per position, and hash[i] + hash[j] depends only on
-    desc({i, j}): the per-position symbol multisets.
     """
     m, n = words.shape
     positions = np.arange(n)
@@ -414,35 +412,21 @@ def is_fpc(code: Code, t: int, max_t: int = DEFAULT_MAX_T) -> Verdict:
     return _scan(code, t, _framing)
 
 
-def _first_collision(code: Code, keys: np.ndarray) -> CollisionWitness | None:
-    """The scan-order first pair whose descendant an earlier pair shares.
+def _collision(
+    code: Code, pair: tuple[int, ...], captured: Sequence[int]
+) -> CollisionWitness | None:
+    """An earlier pair with the pair's descendant, if there is one.
 
-    ``keys`` are the pairs' descendant hashes in lexicographic pair order.
-    Runs of equal hashes are rechecked exactly, in the order of their second
-    member, until no later run can hold an earlier collision.
+    Every pair with that descendant lies in the captured set, so the first
+    of them in lexicographic order is the first seen by the scan.
     """
-    order = np.argsort(keys, kind="stable")
-    same = keys[order][1:] == keys[order][:-1]
-    starts = np.flatnonzero(same & ~np.concatenate([[False], same[:-1]]))
-    best: tuple[int, CollisionWitness] | None = None
-    for start in sorted(starts.tolist(), key=lambda s: order[s + 1]):
-        if best is not None and order[start + 1] >= best[0]:
-            break
-        stop = start + 1
-        while stop < same.size and same[stop]:
-            stop += 1
-        ranks = order[start : stop + 1]
-        seen: dict[tuple, tuple[int, int]] = {}
-        firsts, seconds = _pairs_at(code.M, ranks)
-        for rank, i, j in zip(ranks.tolist(), firsts.tolist(), seconds.tolist()):
-            fingerprint = descendant((code.words[i], code.words[j])).key()
-            if fingerprint in seen:
-                if best is None or rank < best[0]:
-                    witness = CollisionWitness(first=seen[fingerprint], second=(i, j))
-                    best = (rank, witness)
-                break
-            seen[fingerprint] = (i, j)
-    return None if best is None else best[1]
+    target = descendant(code.words[i] for i in pair)
+    first = next(
+        other
+        for other in combinations(captured, 2)
+        if descendant(code.words[i] for i in other) == target
+    )
+    return None if first == pair else CollisionWitness(first=first, second=pair)
 
 
 def is_sc(
@@ -451,28 +435,26 @@ def is_sc(
     max_t: int = DEFAULT_MAX_T,
     subset_cap: int = DEFAULT_SUBSET_CAP,
 ) -> Verdict:
-    """Decide t-separability by fingerprinting the descendant of every subset.
+    """Decide t-separability: distinct subsets of size <= t, distinct descendants.
 
-    Refuses instances with more than ``subset_cap`` subsets.  For t = 2 the
-    engine hashes every pair's descendant (no singleton can share a pair's
-    descendant) and sorts the hashes; a collision is re-checked exactly and
-    reported as the witness pair.  For t >= 3 the canonical feasible-set
-    fingerprint of each subset is hashed in scan order.
+    Refuses instances with more than ``subset_cap`` subsets.  For t = 2 no
+    singleton can share a pair's descendant, and only pairs capturing at
+    least 4 codewords are tested:
+
+    * two pairs sharing a member never have equal descendants: for a partner
+      pair {i, k} of {i, j}, word k must hold j's symbol wherever i and j
+      differ and i's symbol wherever they agree, so k = j;
+    * two disjoint pairs with equal descendants each capture all four words.
+
+    For t >= 3 the canonical feasible-set fingerprint of each subset is
+    hashed in scan order.
     """
     _validate_t(t, max_t)
     total = sum(comb(code.M, k) for k in range(1, min(t, code.M) + 1))
     if total > subset_cap:
         raise ValueError(f"instance too large: {total} subsets above cap {subset_cap}")
     if t == 2:
-        index = _WordIndex(code)
-        hashes = _zobrist_terms(index.words, code.q)[1]
-        tally = _Tally()
-        keys = [np.zeros(0, dtype=np.uint64)]
-        for first, second, counts in _capture_blocks(index):
-            tally.add(counts)
-            keys.append(hashes[first] + hashes[second])
-        witness = _first_collision(code, np.concatenate(keys))
-        return Verdict(witness is None, witness, tally.stats())
+        return _scan(code, 2, partial(_collision, code), least=4)
     seen: dict[tuple[tuple[int, ...], ...], tuple[int, ...]] = {}
     for subset in index_subsets_lex(code.M, t):
         feas = descendant(code.words[i] for i in subset)

@@ -121,6 +121,9 @@ def test_verify_reports_parse_errors_with_line(tmp_path, capsys) -> None:
     rc = main(["verify", str(bad), "--property", "ssc"])
     assert rc == EXIT_PARSE
     assert "line 3" in capsys.readouterr().err
+    bad.write_text("3 -1 2\n")
+    assert main(["verify", str(bad), "--property", "ssc"]) == EXIT_PARSE
+    assert "line 1" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------- trace
@@ -208,15 +211,8 @@ def test_simulate_rejects_bad_colluders(units_file, capsys) -> None:
     assert main(["simulate", units_file, "--colluders", "a,b"]) == EXIT_USAGE
 
 
-def test_simulate_accepts_code_as_flag(units_file, capsys) -> None:
-    rc = main(["simulate", "--code", units_file, "--colluders", "1", "--dim", "8", "--json"])
-    assert rc == EXIT_OK
-    assert json.loads(capsys.readouterr().out)["result"]["R"] == "000"
+def test_simulate_requires_a_code_file(capsys) -> None:
     assert main(["simulate", "--colluders", "1"]) == EXIT_USAGE
-    assert (
-        main(["simulate", units_file, "--code", units_file, "--colluders", "1"])
-        == EXIT_USAGE
-    )
 
 
 def test_unwritable_output_is_a_usage_error(tmp_path, capsys) -> None:

@@ -18,7 +18,6 @@ from sepcode.codes import (
     Code,
     CodeFormatError,
     FeasibleSet,
-    desc_contains,
     desc_intersect_code,
     descendant,
     format_code_text,
@@ -75,7 +74,7 @@ def test_descendant_contains_every_input_word() -> None:
         code = random_code(rng, n=3, max_m=8, max_q=4)
         feasible = descendant(code.words)
         for w in code.words:
-            assert desc_contains(feasible, w)
+            assert feasible.contains(w)
 
 
 def test_descendant_member_count_matches_enumeration() -> None:
@@ -91,19 +90,19 @@ def test_enumeration_refuses_above_cap() -> None:
         feasible.enumerate_members(cap=7)
 
 
-# ------------------------------------------------------------- desc_contains
+# ---------------------------------------------------- FeasibleSet.contains
 
 
-def test_desc_contains_componentwise() -> None:
+def test_feasible_contains_componentwise() -> None:
     feasible = fs({0, 1}, {0, 1}, {0})
-    assert desc_contains(feasible, (0, 0, 0))
-    assert not desc_contains(feasible, (0, 0, 1))
-    assert desc_contains(fs({0}, {1}), (0, 1))
+    assert feasible.contains((0, 0, 0))
+    assert not feasible.contains((0, 0, 1))
+    assert fs({0}, {1}).contains((0, 1))
 
 
-def test_desc_contains_rejects_length_mismatch() -> None:
+def test_feasible_contains_rejects_length_mismatch() -> None:
     with pytest.raises(ValueError, match="length"):
-        desc_contains(fs({0}, {1}), (0, 1, 0))
+        fs({0}, {1}).contains((0, 1, 0))
 
 
 # ------------------------------------------------------- desc_intersect_code
@@ -328,6 +327,10 @@ def test_code_text_reports_line_numbers() -> None:
     with pytest.raises(CodeFormatError) as err:
         parse_code_text("3 2\n")
     assert err.value.line == 1
+    for text in ("3 -1 2\n", "3 -1 2\n0 0 0\n1 1 1\n", "0 1 2\n\n", "3 1 1\n0 0 0\n"):
+        with pytest.raises(CodeFormatError) as err:
+            parse_code_text(text)
+        assert err.value.line == 1
     with pytest.raises(CodeFormatError):
         parse_code_text("")
 

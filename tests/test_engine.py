@@ -123,4 +123,10 @@ def test_stats_report_the_capture_histogram() -> None:
     assert framed.stats == verify.CaptureStats(
         pairs=4, histogram=((2, 3), (3, 1)), max_capture=3
     )
+    # (0, 3) captures the whole square but is the first with its descendant;
+    # (1, 2) shares it and is the witness
+    square = Code.from_words([(0, 0), (0, 1), (1, 0), (1, 1)], q=2)
+    assert verify.is_sc(square, 2).stats == verify.CaptureStats(
+        pairs=4, histogram=((2, 2), (4, 2)), max_capture=4
+    )
     assert verify.capture_stats(Code.from_words([(0, 1, 0)])).max_capture == 1
