@@ -29,6 +29,9 @@ Word = tuple[int, ...]
 # rows converted to tuples per step while iterating a code's words, so a
 # full pass never holds the whole code as Python objects
 _ITER_BLOCK = 1024
+# characters of code-file text tokenized per numpy step; blocks are cut
+# after a newline, so a line longer than this makes its block longer
+_PARSE_BLOCK = 1 << 18
 
 
 class CodeFormatError(ValueError):
@@ -305,8 +308,22 @@ def hamming(u: Sequence[int], v: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def parse_code_text(text: str) -> Code:
-    """Parse the code text format, raising CodeFormatError with a line number."""
+def _header(content: str, line: int) -> tuple[int, int, int]:
+    """(n, M, q) from the header line's content, validated."""
+    head = content.split()
+    if len(head) != 3:
+        raise CodeFormatError('header must hold three integers "n M q"', line)
+    try:
+        n, m, q = (int(tok) for tok in head)
+    except ValueError:
+        raise CodeFormatError('header must hold three integers "n M q"', line) from None
+    if n < 1 or m < 1 or q < 2:
+        raise CodeFormatError("header needs n >= 1, M >= 1 and q >= 2", line)
+    return n, m, q
+
+
+def _parse_lines(text: str) -> Code:
+    """Parse line by line; every fault raises CodeFormatError with its line."""
     rows: list[tuple[int, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         content = raw.split("#", 1)[0].strip()
@@ -314,15 +331,8 @@ def parse_code_text(text: str) -> Code:
             rows.append((lineno, content))
     if not rows:
         raise CodeFormatError('missing header line "n M q"', line=1)
-    head_line, head = rows[0][0], rows[0][1].split()
-    if len(head) != 3:
-        raise CodeFormatError('header must hold three integers "n M q"', head_line)
-    try:
-        n, m, q = (int(tok) for tok in head)
-    except ValueError:
-        raise CodeFormatError('header must hold three integers "n M q"', head_line) from None
-    if n < 1 or m < 1 or q < 2:
-        raise CodeFormatError("header needs n >= 1, M >= 1 and q >= 2", head_line)
+    head_line = rows[0][0]
+    n, m, q = _header(rows[0][1], head_line)
     body = rows[1:]
     if len(body) > m:
         raise CodeFormatError(f"expected {m} codeword lines, found more", body[m][0])
@@ -353,21 +363,134 @@ def parse_code_text(text: str) -> Code:
         raise CodeFormatError(str(exc), head_line) from None
 
 
+# ASCII characters other than "\n" at which str.splitlines breaks a line
+_OTHER_BREAKS = frozenset("\r\v\f\x1c\x1d\x1e")
+_SPACE, _TAB, _NEWLINE, _ZERO = b" \t\n0"
+
+
+def _parse_blocks(text: str) -> Code | None:
+    """Parse a plain code file in numpy blocks, or return None.
+
+    Plain means ASCII, header lines split at "\\n" alone, and a body of
+    exactly M lines of n decimal tokens below q, separated by spaces, tabs
+    and blank lines.  Anything else returns None, so that ``_parse_lines``
+    gives the result or the error.  Only what ``_parse_lines`` would raise
+    the same way raises here: a faulty header, and a duplicate codeword,
+    both on the header line.
+    """
+    if not text.isascii():
+        return None
+    pos = head_line = 0
+    while pos < len(text):
+        cut = text.find("\n", pos)
+        cut = len(text) if cut < 0 else cut
+        line, pos, head_line = text[pos:cut], cut + 1, head_line + 1
+        if not _OTHER_BREAKS.isdisjoint(line):
+            return None
+        content = line.split("#", 1)[0].strip()
+        if content:
+            break
+    else:
+        return None
+    n, m, q = _header(content, head_line)
+    try:
+        dtype = _symbol_dtype(q)
+    except ValueError:
+        return None
+    # every symbol takes a digit and all but the last a separator, so a
+    # header promising more than the text can hold allocates nothing
+    if 2 * m * n - 1 > len(text) - pos:
+        return None
+    out = np.empty(m * n, dtype)
+    filled = lines = 0
+    while pos < len(text):
+        stop = pos + _PARSE_BLOCK
+        if stop >= len(text):
+            cut = len(text)
+        else:  # after the block's last newline, or the first one past it
+            cut = text.rfind("\n", pos, stop) + 1 or text.find("\n", stop) + 1 or len(text)
+        block = np.frombuffer(text[pos:cut].encode(), np.uint8)
+        pos = cut
+        digits = block - _ZERO  # wraps below "0", so digits < 10 exactly at 0-9
+        is_digit = digits < 10
+        newline = block == _NEWLINE
+        if not (is_digit | newline | (block == _SPACE) | (block == _TAB)).all():
+            return None
+        edges = np.flatnonzero(np.diff(is_digit, prepend=False, append=False))
+        if not edges.size:
+            continue
+        starts, widths = edges[::2], edges[1::2] - edges[::2]
+        # tokens per line; a last line without its newline ends at the block's end
+        ends = np.append(np.flatnonzero(newline), block.size)
+        per_line = np.diff(np.searchsorted(starts, ends), prepend=0)
+        per_line = per_line[per_line > 0]
+        lines += per_line.size
+        longest = int(widths.max())
+        if lines > m or (per_line != n).any() or longest > 18:
+            return None
+        values = digits[starts].astype(np.int64)
+        for k in range(1, longest):  # Horner steps; 18 digits stay below 2**63
+            more = widths > k
+            values[more] = values[more] * 10 + digits[starts[more] + k]
+        if int(values.max()) >= q:
+            return None
+        out[filled : filled + values.size] = values
+        filled += values.size
+    if lines != m:
+        return None
+    try:
+        return Code(n=n, M=m, q=q, words=out.reshape(m, n))
+    except ValueError as exc:
+        raise CodeFormatError(str(exc), head_line) from None
+
+
+def parse_code_text(text: str) -> Code:
+    """Parse the code text format, raising CodeFormatError with a line number.
+
+    Plain files are tokenized in numpy blocks; any other text, and every
+    fault, is parsed line by line, which gives the message and the line.
+    """
+    code = _parse_blocks(text)
+    return _parse_lines(text) if code is None else code
+
+
 def format_code_text(code: Code) -> str:
-    lines = [f"{code.n} {code.M} {code.q}"]
-    names = {sym: str(sym) for sym in np.unique(code.array).tolist()}
+    """Header "n M q", then one line of space-separated symbols per codeword."""
+    symbols = np.unique(code.array)
+    names = [f"{sym} ".encode() for sym in symbols.tolist()]
+    # one row per symbol present: its name and a space, padded with zero bytes
+    table = np.zeros((len(names), max(map(len, names))), np.uint8)
+    for row, name in zip(table, names):
+        row[: len(name)] = np.frombuffer(name, np.uint8)
+    parts = [f"{code.n} {code.M} {code.q}\n"]
     for start in range(0, code.M, _ITER_BLOCK):
-        rows = code.array[start : start + _ITER_BLOCK].tolist()
-        lines.extend(" ".join(map(names.__getitem__, w)) for w in rows)
-    return "\n".join(lines) + "\n"
+        rows = np.searchsorted(symbols, code.array[start : start + _ITER_BLOCK])
+        cells = np.take(table, rows, axis=0)  # (rows, n, name width)
+        last = cells[:, -1]
+        last[last == _SPACE] = _NEWLINE
+        flat = cells.ravel()
+        parts.append(flat[flat != 0].tobytes().decode())
+    return "".join(parts)
+
+
+def _decode(raw: bytes) -> str:
+    """The file's bytes as UTF-8 text; a bad byte raises CodeFormatError on its line."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw[: exc.start].count(b"\n") + 1
+        raise CodeFormatError(
+            f"not UTF-8 text: byte 0x{raw[exc.start]:02x} at offset {exc.start}", line
+        ) from None
 
 
 def read_code_file(path: str | Path) -> Code:
-    return parse_code_text(Path(path).read_text())
+    # the bytes are dropped once decoded, so the text is the only copy parsed
+    return parse_code_text(_decode(Path(path).read_bytes()))
 
 
 def write_code_file(path: str | Path, code: Code) -> None:
-    Path(path).write_text(format_code_text(code))
+    Path(path).write_text(format_code_text(code), encoding="utf-8")
 
 
 def parse_feasible_line(text: str) -> FeasibleSet:

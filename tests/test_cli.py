@@ -126,6 +126,13 @@ def test_verify_reports_parse_errors_with_line(tmp_path, capsys) -> None:
     assert "line 1" in capsys.readouterr().err
 
 
+def test_verify_undecodable_code_file_is_a_parse_error(tmp_path, capsys) -> None:
+    bad = tmp_path / "bad.code"
+    bad.write_bytes(b"3 1 2\n\xff 0 0\n")
+    assert main(["verify", str(bad), "--property", "ssc"]) == EXIT_PARSE
+    assert "line 2" in capsys.readouterr().err
+
+
 # --------------------------------------------------------------------- trace
 
 

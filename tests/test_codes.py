@@ -25,6 +25,7 @@ from sepcode.codes import (
     hamming,
     parse_code_text,
     parse_feasible_line,
+    read_code_file,
     shortened,
 )
 
@@ -350,6 +351,14 @@ def test_code_text_format_is_fixed() -> None:
 def test_code_text_duplicate_reported_at_header() -> None:
     with pytest.raises(CodeFormatError, match="duplicate"):
         parse_code_text("2 2 2\n0 1\n0 1\n")
+
+
+def test_undecodable_code_file_is_reported_on_its_line(tmp_path) -> None:
+    path = tmp_path / "bad.code"
+    path.write_bytes(b"3 2 2\n0 0 0\n1 1 \xff\n")
+    with pytest.raises(CodeFormatError, match="not UTF-8") as err:
+        read_code_file(path)
+    assert err.value.line == 3
 
 
 # ------------------------------------------------------------- feasible lines
