@@ -276,7 +276,7 @@ def desc_intersect_code(code: Code, coalition: Iterable[int]) -> frozenset[int]:
     Always a superset of the coalition itself.
     """
     members = coalition_indices(code, coalition)
-    return frozenset(captured_indices(words_array(code), members))
+    return frozenset(captured_indices(code.array, members))
 
 
 def shortened(code: Code, position: int, symbol: int) -> frozenset[Word]:
@@ -342,10 +342,11 @@ def _parse_lines(text: str) -> Code:
             body[-1][0] if body else head_line,
         )
     try:
-        words = np.empty((m, n), dtype=_symbol_dtype(q))
+        dtype = _symbol_dtype(q)
     except ValueError as exc:
         raise CodeFormatError(str(exc), head_line) from None
-    for row, (lineno, content) in enumerate(body):
+    words = []  # nothing is sized from the header, which may promise any n
+    for lineno, content in body:
         toks = content.split()
         if len(toks) != n:
             raise CodeFormatError(f"expected {n} symbols, found {len(toks)}", lineno)
@@ -356,9 +357,9 @@ def _parse_lines(text: str) -> Code:
         if min(w) < 0 or max(w) >= q:
             sym = next(sym for sym in w if not 0 <= sym < q)
             raise CodeFormatError(f"symbol {sym} outside alphabet 0..{q - 1}", lineno)
-        words[row] = w
+        words.append(np.array(w, dtype=dtype))
     try:
-        return Code(n=n, M=m, q=q, words=words)
+        return Code(n=n, M=m, q=q, words=np.stack(words))
     except ValueError as exc:
         raise CodeFormatError(str(exc), head_line) from None
 

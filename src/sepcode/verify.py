@@ -30,18 +30,19 @@ about pairs x min(2^d, M) lookups, where the per-coalition path pays one
 (M x |S| x n) broadcast per coalition.  Only the few pairs a decider must
 inspect (a count above 2, or above 3 where that is the least that can
 fail) get their captured set from ``captured_indices``.  Coalitions of 3
-or more (t >= 3) keep the exact per-coalition path.  Verdicts from the
-engine carry ``CaptureStats``: pairs scanned and the captured-set size
-histogram.
+or more (t >= 3) take every coalition's captured set that way, through
+the same scan.  Verdicts from the engine carry ``CaptureStats``: pairs
+scanned and the captured-set size histogram.
 
 ``is_ssc`` decides the property through a delete-one test on D: the
 coalition is pinned iff no single member x of C0 can be dropped from D
 without shrinking the descendant, so among pairs only those capturing at
 least 4 codewords need the test.  The literal, exponential form of the
 definition is kept as ``is_ssc_naive`` and the two are compared across
-randomized inputs in the test suite.  ``is_sc`` looks for an earlier pair
-with the same descendant only among pairs capturing at least 4 codewords,
-since two colliding pairs are disjoint and each captures all four words.
+randomized inputs in the test suite.  ``is_sc`` looks, at every t, for an
+earlier subset with the coalition's descendant among the subsets of its
+captured set; for t = 2 only pairs capturing at least 4 codewords can
+collide.  Both deciders share one equal-descendant test on captured sets.
 For length-3 codes two specialized criteria are provided: a
 shortened-code overlap test equivalent to 2-separability, and a
 forbidden-pattern scan (distance-3 pairs with |D| >= 4 only) that decides
@@ -55,8 +56,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import combinations, count
-from math import comb
+from itertools import count
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -72,7 +72,6 @@ from .codes import (
 )
 
 DEFAULT_MAX_T = 4
-DEFAULT_SUBSET_CAP = 10_000_000
 NAIVE_CAPTURE_BOUND = 25
 # elements per numpy temporary in the capture engine (256 kB at 8 bytes);
 # a tiny code then runs as one batch and a large one in bounded memory
@@ -363,7 +362,7 @@ def _scan(
     capturing at least ``least`` codewords are taken (singletons and pairs
     capturing only themselves never fail the tests here).
     """
-    arr = words_array(code)
+    arr = code.array
     if t > 2:
         for coalition in index_subsets_lex(code.M, t):
             witness = test(coalition, captured_indices(arr, coalition))
@@ -412,32 +411,41 @@ def is_fpc(code: Code, t: int, max_t: int = DEFAULT_MAX_T) -> Verdict:
     return _scan(code, t, _framing)
 
 
-def _collision(
-    code: Code, pair: tuple[int, ...], captured: Sequence[int]
-) -> CollisionWitness | None:
-    """An earlier pair with the pair's descendant, if there is one.
+def _same_descendant(
+    code: Code, subset: Sequence[int], coalition: Sequence[int]
+) -> bool:
+    """Whether desc(subset) holds every coalition word.
 
-    Every pair with that descendant lies in the captured set, so the first
+    For a subset of the coalition's captured set this is exactly
+    desc(subset) = desc(coalition): each position's symbols of the subset
+    already lie among the coalition's.
+    """
+    arr = code.array
+    return bool(
+        (arr[list(coalition), None] == arr[None, list(subset)]).any(axis=1).all()
+    )
+
+
+def _collision(
+    code: Code, t: int, coalition: tuple[int, ...], captured: Sequence[int]
+) -> CollisionWitness | None:
+    """An earlier subset of at most t words with the coalition's descendant.
+
+    Every subset with that descendant lies in the captured set, so the first
     of them in lexicographic order is the first seen by the scan.
     """
-    target = descendant(code.words[i] for i in pair)
-    first = next(
-        other
-        for other in combinations(captured, 2)
-        if descendant(code.words[i] for i in other) == target
-    )
-    return None if first == pair else CollisionWitness(first=first, second=pair)
+    for pick in index_subsets_lex(len(captured), t):
+        first = tuple(captured[i] for i in pick)
+        if _same_descendant(code, first, coalition):
+            break
+    return None if first == coalition else CollisionWitness(first, coalition)
 
 
-def is_sc(
-    code: Code,
-    t: int,
-    max_t: int = DEFAULT_MAX_T,
-    subset_cap: int = DEFAULT_SUBSET_CAP,
-) -> Verdict:
+def is_sc(code: Code, t: int, max_t: int = DEFAULT_MAX_T) -> Verdict:
     """Decide t-separability: distinct subsets of size <= t, distinct descendants.
 
-    Refuses instances with more than ``subset_cap`` subsets.  For t = 2 no
+    At every t the scan looks for an earlier subset with the coalition's
+    descendant among the subsets of its captured set.  For t = 2 no
     singleton can share a pair's descendant, and only pairs capturing at
     least 4 codewords are tested:
 
@@ -445,44 +453,22 @@ def is_sc(
       pair {i, k} of {i, j}, word k must hold j's symbol wherever i and j
       differ and i's symbol wherever they agree, so k = j;
     * two disjoint pairs with equal descendants each capture all four words.
-
-    For t >= 3 the canonical feasible-set fingerprint of each subset is
-    hashed in scan order.
     """
     _validate_t(t, max_t)
-    total = sum(comb(code.M, k) for k in range(1, min(t, code.M) + 1))
-    if total > subset_cap:
-        raise ValueError(f"instance too large: {total} subsets above cap {subset_cap}")
-    if t == 2:
-        return _scan(code, 2, partial(_collision, code), least=4)
-    seen: dict[tuple[tuple[int, ...], ...], tuple[int, ...]] = {}
-    for subset in index_subsets_lex(code.M, t):
-        feas = descendant(code.words[i] for i in subset)
-        fingerprint = feas.key()
-        earlier = seen.get(fingerprint)
-        if earlier is not None:
-            # fingerprints are canonical; the exact recheck guards the report
-            if descendant(code.words[i] for i in earlier) == feas:
-                return Verdict(False, CollisionWitness(first=earlier, second=subset))
-        else:
-            seen[fingerprint] = subset
-    return Verdict(True)
+    return _scan(code, t, partial(_collision, code, t), least=4)
 
 
 def _ambiguity(
     code: Code, coalition: tuple[int, ...], captured: Sequence[int]
 ) -> AmbiguityWitness | None:
     """The delete-one test on a coalition's captured set; a witness if it fails."""
-    target = descendant(code.words[i] for i in coalition)
     members = set(captured)
     for x in coalition:
         rest = sorted(members - {x})
-        if not rest:
-            continue
-        if descendant(code.words[i] for i in rest) != target:
+        if not rest or not _same_descendant(code, rest, coalition):
             continue
         outside = sorted(members - set(coalition))
-        if outside and descendant(code.words[i] for i in outside) == target:
+        if outside and _same_descendant(code, outside, coalition):
             alternative = tuple(outside)
         else:
             alternative = tuple(rest)

@@ -15,7 +15,6 @@ from math import comb
 from sepcode.codes import Code, captured_indices, descendant, hamming, words_array
 from sepcode.verify import (
     DEFAULT_MAX_T,
-    DEFAULT_SUBSET_CAP,
     AmbiguityWitness,
     CollisionWitness,
     ForbiddenPatternWitness,
@@ -25,6 +24,8 @@ from sepcode.verify import (
     _validate_t,
     index_subsets_lex,
 )
+
+DEFAULT_SUBSET_CAP = 10_000_000
 
 
 def is_fpc(code: Code, t: int, max_t: int = DEFAULT_MAX_T) -> Verdict:

@@ -124,6 +124,9 @@ def test_verify_reports_parse_errors_with_line(tmp_path, capsys) -> None:
     bad.write_text("3 -1 2\n")
     assert main(["verify", str(bad), "--property", "ssc"]) == EXIT_PARSE
     assert "line 1" in capsys.readouterr().err
+    bad.write_text("999999999999 1 2\n0 1\n")
+    assert main(["verify", str(bad), "--property", "ssc"]) == EXIT_PARSE
+    assert "line 2" in capsys.readouterr().err
 
 
 def test_verify_undecodable_code_file_is_a_parse_error(tmp_path, capsys) -> None:

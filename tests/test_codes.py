@@ -328,6 +328,9 @@ def test_code_text_reports_line_numbers() -> None:
     with pytest.raises(CodeFormatError) as err:
         parse_code_text("3 2\n")
     assert err.value.line == 1
+    with pytest.raises(CodeFormatError) as err:
+        parse_code_text("999999999999 1 2\n0 1\n")
+    assert err.value.line == 2
     for text in ("3 -1 2\n", "3 -1 2\n0 0 0\n1 1 1\n", "0 1 2\n\n", "3 1 1\n0 0 0\n"):
         with pytest.raises(CodeFormatError) as err:
             parse_code_text(text)

@@ -59,7 +59,7 @@ def codes(draw, n=st.integers(1, 6), q=st.integers(2, 4)) -> Code:
     return Code.from_words(words, q=q)
 
 
-def assert_matches_reference(code: Code, ts=(2, 3)) -> None:
+def assert_matches_reference(code: Code, ts=(2, 3, 4)) -> None:
     for kind in ENGINE_SETTINGS:
         with engine_setting(kind):
             for t in ts:

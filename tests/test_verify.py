@@ -12,6 +12,7 @@ from conftest import (
     random_code,
 )
 from sepcode.codes import Code, desc_intersect_code, descendant, hamming, shortened
+from sepcode.construct import build_length3, optimal_s
 from sepcode.verify import (
     AmbiguityWitness,
     CollisionWitness,
@@ -140,9 +141,9 @@ def test_sc_matches_brute_oracle_on_random_codes() -> None:
         assert is_sc(code, 2).holds == brute_is_sc(code, 2)
 
 
-def test_sc_refuses_oversized_instances() -> None:
-    with pytest.raises(ValueError, match="too large"):
-        is_sc(ZERO_UNITS_ONES, 2, subset_cap=10)
+def test_sc_holds_on_the_q64_row_without_a_subset_cap() -> None:
+    # 10.6M subsets of at most two codewords, scanned in bounded memory
+    assert is_sc(build_length3(64, optimal_s(64).s), 2).holds
 
 
 # --------------------------------------------------------------------- is_ssc
