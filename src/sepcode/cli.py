@@ -257,6 +257,8 @@ def _parse_colluders(raw: str, code: Code) -> list[int]:
     for label in labels:
         if not 1 <= label <= code.M:
             raise CliError(f"colluder {label} out of range 1..{code.M}")
+        if label - 1 in indices:
+            raise CliError(f"colluder {label} is listed twice")
         indices.append(label - 1)
     return indices
 

@@ -220,10 +220,6 @@ class FeasibleSet:
             raise ValueError(f"word length {len(word)} does not match {self.n} positions")
         return all(sym in allowed for sym, allowed in zip(word, self.positions))
 
-    def key(self) -> tuple[tuple[int, ...], ...]:
-        """Canonical hashable fingerprint (sorted symbols per position)."""
-        return tuple(tuple(sorted(allowed)) for allowed in self.positions)
-
     def member_count(self) -> int:
         total = 1
         for allowed in self.positions:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import Code, Word
+from .codes import Code
 
 # numerator offset of the size-maximizing s = (q + offset) / 4, by q mod 8
 _S_OFFSET = {0: -4, 1: -1, 2: 2, 3: -3, 4: 0, 5: 3, 6: -2, 7: 1}
@@ -59,39 +59,21 @@ def build_length3(q: int, s: int) -> Code:
     code is the union of the shift orbits of s + 1 base matrices: for each
     marker index i, a 3x3 matrix cycling (marker_i, 0, i) through the three
     positions, and last an arithmetic matrix with columns (0, j, 2j) over
-    the residues.  Orbits are emitted marker matrices first, base columns
-    ascending, shifts ascending, which fixes the codeword indexing.  Marker
-    i is the symbol base + i, at the top of 0..q-1.
+    the residues.  Every base column (marker matrices first, columns
+    ascending) is shifted by every residue ascending, markers held fixed,
+    which fixes the codeword indexing; ``Code`` checks the orbits disjoint.
+    Marker i is the symbol base + i, at the top of 0..q-1.
     """
-    _validate_family_params(q, s)
+    M = predicted_size(q, s)
     base = q - s
-    words: list[Word] = []
-    seen: set[Word] = set()
-
-    def emit_orbit(column: Word) -> None:
-        for g in range(base):
-            # residues shift mod base; markers (base + i) absorb the shift
-            word = tuple(sym if sym >= base else (sym + g) % base for sym in column)
-            if word in seen:
-                # the orbit counting argument rules this out; fail loudly
-                raise ValueError(f"orbit collision at {word} for (q={q}, s={s})")
-            seen.add(word)
-            words.append(word)
-
-    for i in range(s):
-        marker = base + i
-        emit_orbit((marker, 0, i))
-        emit_orbit((i, marker, 0))
-        emit_orbit((0, i, marker))
-    for j in range(base):
-        emit_orbit((0, j, 2 * j % base))
-
-    expected = predicted_size(q, s)
-    if len(words) != expected:
-        raise ValueError(
-            f"construction produced {len(words)} codewords, expected {expected}"
-        )
-    return Code(n=3, M=expected, q=q, words=words)
+    i, j = np.arange(s), np.arange(base)
+    marker, zero = base + i, np.zeros_like(i)
+    markers = np.stack([marker, zero, i, i, marker, zero, zero, i, marker], 1)
+    arithmetic = np.stack([0 * j, j, 2 * j % base], 1)
+    columns = np.concatenate([markers.reshape(-1, 3), arithmetic])[:, None]
+    shifted = (columns + j[:, None]) % base
+    words = np.where(columns >= base, columns, shifted).reshape(-1, 3)
+    return Code(n=3, M=M, q=q, words=words)
 
 
 def one_hot_compose(code: Code) -> Code:

@@ -7,7 +7,7 @@ accuses exactly the filtered set.  The strongly-separable tracer then scans
 every coordinate and accuses a candidate that is the unique carrier of bit
 1 (or of bit 0) there; the uniqueness sets are evaluated per coordinate,
 reset at each one.  Both report overflow when more than t users end up
-accused.
+accused, and both refuse an R that no codeword matches (an infeasible R).
 
 Accusations are exact under the intended preconditions: the filtered set
 equals the coalition on a t-frameproof code, and the per-coordinate unique
@@ -83,7 +83,10 @@ def _candidates(code: Code, feasible: FeasibleSet, t: int) -> tuple[np.ndarray, 
         raise ValueError("t must be at least 1")
     pinned = [j for j, allowed in enumerate(feasible.positions) if len(allowed) == 1]
     bits = np.array([min(feasible.positions[j]) for j in pinned], dtype=code.array.dtype)
-    return (code.array[:, pinned] == bits).all(axis=1), len(pinned)
+    keep = (code.array[:, pinned] == bits).all(axis=1)
+    if not keep.any():
+        raise ValueError("infeasible R: no codeword matches every pinned coordinate")
+    return keep, len(pinned)
 
 
 def coalition_feasible_set(code: Code, coalition: Iterable[int]) -> FeasibleSet:
@@ -126,8 +129,6 @@ def ssc_trace(code: Code, feasible: FeasibleSet, t: int) -> TraceReport:
     """
     keep, pinned = _candidates(code, feasible, t)
     rows = np.flatnonzero(keep)
-    if not rows.size:
-        raise ValueError("infeasible R: no codeword matches every pinned coordinate")
     words = code.array[rows]
     ones = words.sum(axis=0, dtype=np.int64)
 

@@ -31,8 +31,9 @@ about pairs x min(2^d, M) lookups, where the per-coalition path pays one
 inspect (a count above 2, or above 3 where that is the least that can
 fail) get their captured set from ``captured_indices``.  Coalitions of 3
 or more (t >= 3) take every coalition's captured set that way, through
-the same scan.  Verdicts from the engine carry ``CaptureStats``: pairs
-scanned and the captured-set size histogram.
+the same scan, refused up front (like the oracle's) above a work limit.
+Verdicts from the engine carry ``CaptureStats``: pairs scanned and the
+captured-set size histogram.
 
 ``is_ssc`` decides the property through a delete-one test on D: the
 coalition is pinned iff no single member x of C0 can be dropped from D
@@ -45,8 +46,9 @@ captured set; for t = 2 only pairs capturing at least 4 codewords can
 collide.  Both deciders share one equal-descendant test on captured sets.
 For length-3 codes two specialized criteria are provided: a
 shortened-code overlap test equivalent to 2-separability, and a
-forbidden-pattern scan (distance-3 pairs with |D| >= 4 only) that decides
-strong 2-separability on codes already known to be 2-separable.
+forbidden-pattern scan (distance-3 pairs with |D| >= 4 only, each pattern
+read from the words D adds to the pair) that decides strong
+2-separability on codes already known to be 2-separable.
 ``desc_cap_bound`` computes the capture bound whose value <= 3 is a
 sufficient condition for strong 2-separability.
 """
@@ -57,6 +59,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import count
+from math import comb
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -66,13 +69,14 @@ from .codes import (
     Word,
     captured_indices,
     descendant,
-    hamming,
     shortened,
     words_array,
 )
 
-DEFAULT_MAX_T = 4
 NAIVE_CAPTURE_BOUND = 25
+# symbol comparisons above which a per-coalition scan is refused: about half a
+# minute of a holding t = 3 is_ssc (4e7 a second on a 2-vCPU Intel Xeon)
+_WORK_LIMIT = 10**9
 # elements per numpy temporary in the capture engine (256 kB at 8 bytes);
 # a tiny code then runs as one batch and a large one in bounded memory
 _BLOCK_ELEMS = 1 << 15
@@ -166,11 +170,23 @@ class Verdict:
             raise ValueError("a failing verdict must carry a witness")
 
 
-def _validate_t(t: int, max_t: int) -> None:
+def _validate_t(t: int) -> None:
     if t < 2:
         raise ValueError("t must be at least 2")
-    if t > max_t:
-        raise ValueError(f"t={t} above cap {max_t}; pass a larger max_t to override")
+
+
+def _coalitions(code: Code, t: int) -> Iterator[tuple[int, ...]]:
+    """Every coalition of at most t codewords, for a per-coalition scan.
+
+    Each is compared symbol by symbol with the whole code: in all, sum over
+    k <= t of C(M, k) * M * n comparisons, refused above ``_WORK_LIMIT``.
+    """
+    work = 0
+    for k in range(1, min(t, code.M) + 1):
+        work += comb(code.M, k) * code.M * code.n
+        if work > _WORK_LIMIT:
+            raise ValueError(f"t={t} on M={code.M}, n={code.n}: over {_WORK_LIMIT:,} comparisons")
+    return index_subsets_lex(code.M, t)
 
 
 def index_subsets_lex(count: int, max_size: int) -> Iterator[tuple[int, ...]]:
@@ -362,9 +378,10 @@ def _scan(
     capturing at least ``least`` codewords are taken (singletons and pairs
     capturing only themselves never fail the tests here).
     """
+    _validate_t(t)
     arr = code.array
     if t > 2:
-        for coalition in index_subsets_lex(code.M, t):
+        for coalition in _coalitions(code, t):
             witness = test(coalition, captured_indices(arr, coalition))
             if witness is not None:
                 return Verdict(False, witness)
@@ -405,9 +422,8 @@ def _framing(
     )
 
 
-def is_fpc(code: Code, t: int, max_t: int = DEFAULT_MAX_T) -> Verdict:
+def is_fpc(code: Code, t: int) -> Verdict:
     """Decide the t-frameproof property: desc(S) captures nothing outside S."""
-    _validate_t(t, max_t)
     return _scan(code, t, _framing)
 
 
@@ -441,7 +457,7 @@ def _collision(
     return None if first == coalition else CollisionWitness(first, coalition)
 
 
-def is_sc(code: Code, t: int, max_t: int = DEFAULT_MAX_T) -> Verdict:
+def is_sc(code: Code, t: int) -> Verdict:
     """Decide t-separability: distinct subsets of size <= t, distinct descendants.
 
     At every t the scan looks for an earlier subset with the coalition's
@@ -454,7 +470,6 @@ def is_sc(code: Code, t: int, max_t: int = DEFAULT_MAX_T) -> Verdict:
       differ and i's symbol wherever they agree, so k = j;
     * two disjoint pairs with equal descendants each capture all four words.
     """
-    _validate_t(t, max_t)
     return _scan(code, t, partial(_collision, code, t), least=4)
 
 
@@ -476,7 +491,7 @@ def _ambiguity(
     return None
 
 
-def is_ssc(code: Code, t: int, max_t: int = DEFAULT_MAX_T) -> Verdict:
+def is_ssc(code: Code, t: int) -> Verdict:
     """Decide strong t-separability via the delete-one test on captured sets.
 
     For each coalition C0 with |C0| <= t and D = desc(C0) intersect C, the
@@ -488,27 +503,24 @@ def is_ssc(code: Code, t: int, max_t: int = DEFAULT_MAX_T) -> Verdict:
     c repeats word i's symbol at every position where i and j differ, which
     makes c = i.
     """
-    _validate_t(t, max_t)
     return _scan(code, t, partial(_ambiguity, code), least=4)
 
 
 def is_ssc_naive(
-    code: Code,
-    t: int,
-    max_t: int = DEFAULT_MAX_T,
-    capture_bound: int = NAIVE_CAPTURE_BOUND,
+    code: Code, t: int, capture_bound: int = NAIVE_CAPTURE_BOUND
 ) -> Verdict:
     """Literal strong t-separability: intersect all subsets sharing a descendant.
 
     For each coalition C0 enumerates every non-empty subset of the captured
     set D, collects those with descendant equal to desc(C0), intersects
     them, and compares with C0.  Exponential in |D|; refuses |D| above
-    ``capture_bound``.  This is the oracle the fast criterion is validated
+    ``capture_bound``, and refuses at any t a scan over the work limit of
+    ``_coalitions``.  This is the oracle the fast criterion is validated
     against.
     """
-    _validate_t(t, max_t)
+    _validate_t(t)
     arr = words_array(code)
-    for coalition in index_subsets_lex(code.M, t):
+    for coalition in _coalitions(code, t):
         target = descendant(code.words[i] for i in coalition)
         captured = captured_indices(arr, coalition)
         if len(captured) > capture_bound:
@@ -534,40 +546,26 @@ def is_ssc_naive(
     return Verdict(True)
 
 
-def _forbidden_patterns(c1: Word, c2: Word) -> list[frozenset[Word]]:
-    """The four captured-set patterns that break strong 2-separability.
-
-    For a distance-3 pair c1 = (a1, b1, e1), c2 = (a2, b2, e2) the patterns
-    are built from the mixed words (a1,b1,e2), (a1,b2,e1), (a2,b1,e1).
-    """
-    (a1, b1, e1), (a2, b2, e2) = c1, c2
-    c3 = (a1, b1, e2)
-    c4 = (a1, b2, e1)
-    c5 = (a2, b1, e1)
-    return [
-        frozenset({c1, c2, c3, c4}),
-        frozenset({c1, c2, c3, c5}),
-        frozenset({c1, c2, c4, c5}),
-        frozenset({c1, c2, c3, c4, c5}),
-    ]
-
-
 def _pattern_match(
     code: Code, pair: tuple[int, ...], captured: Sequence[int]
 ) -> ForbiddenPatternWitness | None:
-    """The first forbidden pattern a distance-3 pair's captured set matches."""
-    i, j = pair
-    u, v = code.words[i], code.words[j]
-    if hamming(u, v) != 3:
+    """The forbidden pattern a distance-3 pair's captured set (of 4 or more) matches.
+
+    Ordered (u, v), it matches when every other captured word takes v's
+    symbol at exactly one position: pattern 4 when all three such words are
+    captured, otherwise pattern 1 + the position of the one missing.
+    """
+    arr = code.array
+    u, v = arr[list(pair)]
+    if (u == v).any():
         return None
-    captured_words = frozenset(code.words[k] for k in captured)
-    for first, second in ((u, v), (v, u)):
-        patterns = _forbidden_patterns(first, second)
-        for pattern_no, pattern in enumerate(patterns, start=1):
-            if captured_words == pattern:
-                return ForbiddenPatternWitness(
-                    pair=(i, j), pattern=pattern_no, matched=tuple(captured)
-                )
+    extra = arr[[k for k in captured if k not in pair]]
+    for other in (v, u):
+        hit = extra == other
+        if (hit.sum(axis=1) == 1).all():
+            seen = hit.any(axis=0).tolist()
+            pattern = 4 if all(seen) else 1 + seen.index(False)
+            return ForbiddenPatternWitness(pair, pattern, tuple(captured))
     return None
 
 

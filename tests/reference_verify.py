@@ -2,9 +2,10 @@
 
 Each body is the library's earlier implementation, kept word for word: one
 ``captured_indices`` (or ``descendant``) call per coalition, scanned in
-lexicographic order.  The equivalence tests require the engine-backed
-verifiers in ``sepcode.verify`` to return equal Verdicts, witnesses
-included.
+lexicographic order, with the earlier t cap (``max_t``), the frozenset
+forbidden patterns and the feasible-set fingerprint as local helpers.
+The equivalence tests require the engine-backed verifiers in
+``sepcode.verify`` to return equal Verdicts, witnesses included.
 """
 
 from __future__ import annotations
@@ -12,20 +13,56 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb
 
-from sepcode.codes import Code, captured_indices, descendant, hamming, words_array
+from sepcode.codes import (
+    Code,
+    FeasibleSet,
+    Word,
+    captured_indices,
+    descendant,
+    hamming,
+    words_array,
+)
 from sepcode.verify import (
-    DEFAULT_MAX_T,
     AmbiguityWitness,
     CollisionWitness,
     ForbiddenPatternWitness,
     FramingWitness,
     Verdict,
-    _forbidden_patterns,
-    _validate_t,
     index_subsets_lex,
 )
 
+DEFAULT_MAX_T = 4
 DEFAULT_SUBSET_CAP = 10_000_000
+
+
+def _validate_t(t: int, max_t: int) -> None:
+    if t < 2:
+        raise ValueError("t must be at least 2")
+    if t > max_t:
+        raise ValueError(f"t={t} above cap {max_t}; pass a larger max_t to override")
+
+
+def _key(feasible: FeasibleSet) -> tuple[tuple[int, ...], ...]:
+    """Canonical hashable fingerprint (sorted symbols per position)."""
+    return tuple(tuple(sorted(allowed)) for allowed in feasible.positions)
+
+
+def _forbidden_patterns(c1: Word, c2: Word) -> list[frozenset[Word]]:
+    """The four captured-set patterns that break strong 2-separability.
+
+    For a distance-3 pair c1 = (a1, b1, e1), c2 = (a2, b2, e2) the patterns
+    are built from the mixed words (a1,b1,e2), (a1,b2,e1), (a2,b1,e1).
+    """
+    (a1, b1, e1), (a2, b2, e2) = c1, c2
+    c3 = (a1, b1, e2)
+    c4 = (a1, b2, e1)
+    c5 = (a2, b1, e1)
+    return [
+        frozenset({c1, c2, c3, c4}),
+        frozenset({c1, c2, c3, c5}),
+        frozenset({c1, c2, c4, c5}),
+        frozenset({c1, c2, c3, c4, c5}),
+    ]
 
 
 def is_fpc(code: Code, t: int, max_t: int = DEFAULT_MAX_T) -> Verdict:
@@ -66,7 +103,7 @@ def is_sc(
     seen: dict[tuple[tuple[int, ...], ...], tuple[int, ...]] = {}
     for subset in index_subsets_lex(code.M, t):
         feas = descendant(code.words[i] for i in subset)
-        fingerprint = feas.key()
+        fingerprint = _key(feas)
         earlier = seen.get(fingerprint)
         if earlier is not None:
             # fingerprints are canonical; the exact recheck guards the report

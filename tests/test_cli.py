@@ -14,7 +14,7 @@ from sepcode.cli import (
     EXIT_USAGE,
     main,
 )
-from sepcode.codes import format_code_text, read_code_file
+from sepcode.codes import Code, format_code_text, read_code_file
 
 
 @pytest.fixture
@@ -115,6 +115,17 @@ def test_verify_oracle_restricted_to_ssc(ones_file, capsys) -> None:
     assert "oracle" in capsys.readouterr().err
 
 
+def test_verify_refuses_per_coalition_scans_over_the_work_limit(tmp_path, capsys) -> None:
+    units = tmp_path / "unit-vectors.code"
+    units.write_text(format_code_text(Code.from_words([(1, 0, 0), (0, 1, 0), (0, 0, 1)])))
+    assert main(["verify", str(units), "--property", "fpc", "--t", "5"]) == EXIT_OK
+    q12 = tmp_path / "q12.code"
+    assert main(["construct", "--q", "12", "--out", str(q12)]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["verify", str(q12), "--property", "ssc", "--t", "5"]) == EXIT_USAGE
+    assert "comparisons" in capsys.readouterr().err
+
+
 def test_verify_reports_parse_errors_with_line(tmp_path, capsys) -> None:
     bad = tmp_path / "bad.code"
     bad.write_text("3 2 2\n0 0 0\n0 0 7\n")
@@ -165,6 +176,12 @@ def test_trace_fpc_algorithm(units_file, capsys) -> None:
     rc = main(["trace", units_file, "--r", "**0", "--algorithm", "fpc", "--json"])
     assert rc == EXIT_OVERFLOW
     assert json.loads(capsys.readouterr().out)["result"]["colluders"] == [1, 2, 3]
+
+
+def test_trace_rejects_an_r_no_codeword_matches(units_file, capsys) -> None:
+    for algorithm in ("fpc", "ssc"):
+        assert main(["trace", units_file, "--r", "11*", "--algorithm", algorithm]) == EXIT_USAGE
+        assert "infeasible R" in capsys.readouterr().err
 
 
 def test_trace_rejects_bad_r_line(units_file, capsys) -> None:
@@ -219,6 +236,8 @@ def test_simulate_zero_word_colluder(units_file, capsys) -> None:
 def test_simulate_rejects_bad_colluders(units_file, capsys) -> None:
     assert main(["simulate", units_file, "--colluders", "9"]) == EXIT_USAGE
     assert main(["simulate", units_file, "--colluders", "a,b"]) == EXIT_USAGE
+    assert main(["simulate", units_file, "--colluders", "2,2"]) == EXIT_USAGE
+    assert "colluder 2 is listed twice" in capsys.readouterr().err
 
 
 def test_simulate_requires_a_code_file(capsys) -> None:

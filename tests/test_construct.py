@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import reference_construct as ref
 from conftest import ZERO_PLUS_UNITS, random_code
 from sepcode.codes import Code
 from sepcode.construct import (
@@ -74,6 +75,14 @@ def test_family_is_strongly_2_separable_small_range() -> None:
             code = build_length3(q, s)
             assert desc_cap_bound(code) <= 3
             assert is_ssc(code, 2).holds
+
+
+def test_family_equals_the_reference_builder() -> None:
+    # the same codewords in the same order, for every valid (q, s) up to 40
+    plans = [(q, s) for q in range(2, 41) for s in valid_s_values(q)]
+    plans.append((100, optimal_s(100).s))
+    for q, s in plans:
+        assert build_length3(q, s) == ref.build_length3(q, s)
 
 
 def test_family_codeword_order_is_deterministic() -> None:

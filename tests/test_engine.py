@@ -15,6 +15,7 @@ from itertools import combinations
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -81,6 +82,26 @@ def test_verifiers_equal_reference_on_random_codes(code) -> None:
 @given(codes(n=st.just(3)))
 def test_verifiers_equal_reference_on_composed_length3_codes(code) -> None:
     assert_matches_reference(one_hot_compose(code))
+
+
+# positions where pattern 1, 2, 3, 4's extra words take the second word's symbol
+PATTERN_POSITIONS = {1: (2, 1), 2: (2, 0), 3: (1, 0), 4: (2, 1, 0)}
+
+
+@pytest.mark.parametrize("reverse", (False, True), ids=("u-v", "v-u"))
+@pytest.mark.parametrize("pattern", sorted(PATTERN_POSITIONS))
+def test_forbidden_patterns_in_both_orientations(pattern, reverse) -> None:
+    u, v = (0, 0, 0), (1, 1, 1)
+    first, second = (v, u) if reverse else (u, v)
+    extra = [
+        tuple(second[k] if k == p else first[k] for k in range(3))
+        for p in PATTERN_POSITIONS[pattern]
+    ]
+    code = Code.from_words([u, v] + extra)
+    assert verify.forbidden_type_scan(code) == verify.Verdict(
+        False, verify.ForbiddenPatternWitness((0, 1), pattern, tuple(range(code.M)))
+    )
+    assert_matches_reference(code)
 
 
 def test_capture_counts_equal_brute_oracle() -> None:

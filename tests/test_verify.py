@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import time
+from itertools import product
 
 import pytest
 
@@ -109,9 +111,18 @@ def test_fpc_matches_brute_oracle_on_random_codes() -> None:
 def test_fpc_rejects_bad_t() -> None:
     with pytest.raises(ValueError, match="at least 2"):
         is_fpc(UNIT_VECTORS, 1)
-    with pytest.raises(ValueError, match="cap"):
-        is_fpc(UNIT_VECTORS, 5)
-    assert is_fpc(UNIT_VECTORS, 5, max_t=8).holds
+    assert is_fpc(UNIT_VECTORS, 5).holds
+
+
+def test_per_coalition_scans_over_the_work_limit_are_refused_at_once() -> None:
+    # all 1,000 words of length 3 over 10 symbols: C(1000, 3) coalitions at
+    # t = 3, each compared with the whole code, about 5e11 comparisons
+    code = Code.from_words(product(range(10), repeat=3))
+    for decide in (is_fpc, is_sc, is_ssc, is_ssc_naive):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="comparisons"):
+            decide(code, 3)
+        assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------------- is_sc
