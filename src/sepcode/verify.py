@@ -51,6 +51,21 @@ read from the words D adds to the pair) that decides strong
 2-separability on codes already known to be 2-separable.
 ``desc_cap_bound`` computes the capture bound whose value <= 3 is a
 sufficient condition for strong 2-separability.
+
+``is_fpc``, ``is_sc``, ``is_ssc`` and ``capture_stats`` first reduce the
+code, keeping every captured set and codeword index.  A constant column never decides membership in a descendant, so
+it is dropped.  On a binary code, a contiguous run of columns holding
+exactly one 1 in every row is one position whose symbol is the slot of
+that 1: a codeword lies in desc(S) on the run iff some member of S holds
+its slot, because its 1 must come from someone.  So a one-hot composition
+verifies at the cost of its q-ary source, for every t.  Each position's
+symbols are then relabelled by rank, so no alphabet exceeds M.  Verdicts,
+witnesses and stats hold only codeword indices and captured-set sizes, so
+they are those of the code as given; the work limit is counted on the
+reduced code, whose comparisons the scan makes.  ``forbidden_type_scan``,
+``shortened_sc_check`` and the length check of ``desc_cap_bound`` read
+positions of the length-3 code itself, and the oracle ``is_ssc_naive``
+stays literal; none of them reduces.
 """
 
 from __future__ import annotations
@@ -205,6 +220,52 @@ def index_subsets_lex(count: int, max_size: int) -> Iterator[tuple[int, ...]]:
                 yield from walk(cur, i + 1)
 
     return walk((), 0)
+
+
+def _one_hot_runs(columns: np.ndarray) -> list[np.ndarray]:
+    """A binary code's columns (rows of ``columns``), each one-hot run merged.
+
+    A left-to-right scan opens a run at each column.  The run can only close
+    at the first column by which every codeword has held a 1, and closes
+    there iff no codeword holds two; it then becomes the column of each
+    codeword's slot of its 1.  A column that opens no closing run stays.
+    """
+    n, m = columns.shape
+    # last[c]: the column by which every codeword holds a 1 from c on (n if never)
+    first_one, last = np.full(m, n), [n] * n
+    for c in range(n - 1, -1, -1):
+        first_one[columns[c] == 1] = c
+        last[c] = int(first_one.max())
+    ones = np.concatenate(([0], np.cumsum(columns.sum(axis=1)))).tolist()
+    merged, start = [], 0
+    while start < n:
+        stop = last[start] + 1
+        if stop <= n and ones[stop] - ones[start] == m:  # one 1 per codeword
+            merged.append(columns[start:stop].argmax(axis=0))
+            start = stop
+        else:
+            merged.append(columns[start])
+            start += 1
+    return merged
+
+
+def _reduce(code: Code) -> Code:
+    """The code cut down to what decides its captured sets; indices are kept.
+
+    Drops constant columns (a 1-word code keeps one), merges the one-hot
+    runs of a binary code into q-ary positions, and relabels each position's
+    symbols by rank, to 0..k-1.  Returns ``code`` itself when nothing changes.
+    """
+    arr = code.array
+    varies = (arr != arr[0]).any(axis=0)
+    varies[0] |= not varies.any()
+    kept = arr.T[varies]
+    columns = _one_hot_runs(kept) if code.q == 2 else list(kept)
+    words = np.stack([np.unique(col, return_inverse=True)[1] for col in columns], axis=1)
+    q = max(2, int(words.max()) + 1)
+    if q == code.q and np.array_equal(words, arr):
+        return code
+    return Code(n=words.shape[1], M=code.M, q=q, words=words)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +462,7 @@ def _scan(
 def capture_stats(code: Code) -> CaptureStats:
     """Captured-set size histogram over all pairs of the code (the engine's tally)."""
     tally = _Tally()
-    for _, _, counts in _capture_blocks(_WordIndex(code)):
+    for _, _, counts in _capture_blocks(_WordIndex(_reduce(code))):
         tally.add(counts)
     return tally.stats()
 
@@ -424,7 +485,7 @@ def _framing(
 
 def is_fpc(code: Code, t: int) -> Verdict:
     """Decide the t-frameproof property: desc(S) captures nothing outside S."""
-    return _scan(code, t, _framing)
+    return _scan(_reduce(code), t, _framing)
 
 
 def _same_descendant(
@@ -470,6 +531,7 @@ def is_sc(code: Code, t: int) -> Verdict:
       differ and i's symbol wherever they agree, so k = j;
     * two disjoint pairs with equal descendants each capture all four words.
     """
+    code = _reduce(code)
     return _scan(code, t, partial(_collision, code, t), least=4)
 
 
@@ -503,6 +565,7 @@ def is_ssc(code: Code, t: int) -> Verdict:
     c repeats word i's symbol at every position where i and j differ, which
     makes c = i.
     """
+    code = _reduce(code)
     return _scan(code, t, partial(_ambiguity, code), least=4)
 
 

@@ -7,6 +7,7 @@ every run checks the same instances.
 
 from __future__ import annotations
 
+import json
 import random
 import time
 from contextlib import contextmanager
@@ -15,6 +16,7 @@ from itertools import combinations
 import numpy as np
 
 from conftest import ZERO_PLUS_UNITS, ZERO_UNITS_ONES, random_code
+from sepcode import cli
 from sepcode.construct import build_length3, one_hot_compose, optimal_s, predicted_size
 from sepcode.simulate import averaging_attack, correlate, embed, make_context, threshold
 from sepcode.trace import coalition_feasible_set, ssc_trace
@@ -243,3 +245,18 @@ def test_criterion_11_every_table_row_is_certified() -> None:
         histogram = dict(capture_stats(code).histogram)  # q = 100
         assert histogram == {2: 62_163_900, 3: 1_111_725}
         assert time.perf_counter() - start < 120.0
+
+
+def test_criterion_12_composed_q100_code_is_certified(tmp_path, capsys) -> None:
+    with criterion(12, "composed (300,11250,2) code: verify ssc --t 2 holds; < 60 s"):
+        source, binary = tmp_path / "q100.code", tmp_path / "q100-binary.code"
+        assert cli.main(["construct", "--q", "100", "--out", str(source)]) == cli.EXIT_OK
+        assert cli.main(["compose", str(source), "--out", str(binary)]) == cli.EXIT_OK
+        capsys.readouterr()
+        start = time.perf_counter()
+        args = ["verify", str(binary), "--property", "ssc", "--t", "2", "--json"]
+        assert cli.main(args) == cli.EXIT_OK
+        elapsed = time.perf_counter() - start
+        stats = json.loads(capsys.readouterr().out)["result"]["stats"]
+        assert stats["capture_histogram"] == {"2": 62_163_900, "3": 1_111_725}
+        assert elapsed < 60.0

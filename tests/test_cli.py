@@ -126,6 +126,13 @@ def test_verify_refuses_per_coalition_scans_over_the_work_limit(tmp_path, capsys
     assert "comparisons" in capsys.readouterr().err
 
 
+def test_verify_a_huge_alphabet(tmp_path, capsys) -> None:
+    wide = tmp_path / "wide.code"
+    wide.write_text("2 3 1099511627776\n0 1\n5 1099511627775\n7 3\n")
+    assert main(["verify", str(wide), "--property", "sc", "--t", "2"]) == EXIT_OK
+    assert "holds" in capsys.readouterr().out
+
+
 def test_verify_reports_parse_errors_with_line(tmp_path, capsys) -> None:
     bad = tmp_path / "bad.code"
     bad.write_text("3 2 2\n0 0 0\n0 0 7\n")

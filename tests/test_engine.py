@@ -5,6 +5,10 @@ Codes with q^n <= 4096 always take the dense-table index and fit one
 block, so each check also runs with the dense table switched off (Zobrist
 hashing), with a deliberately weak hash whose collisions only the exact
 confirmation of every hit can absorb, and with blocks of a pair or two.
+The deciders reduce a code first (a one-hot composition to its q-ary
+source), so each check also runs with the reduction switched off, under
+the dense and the Zobrist index, to keep the full-length binary path
+covered; a property test compares the two paths.
 """
 
 from __future__ import annotations
@@ -20,9 +24,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_verify as ref
-from conftest import ZERO_PLUS_UNITS, brute_captured, random_code
+from conftest import ZERO_PLUS_UNITS, ZERO_UNITS_ONES, brute_captured, random_code
 from sepcode import verify
-from sepcode.codes import Code
+from sepcode.codes import Code, captured_indices
 from sepcode.construct import build_length3, one_hot_compose
 
 
@@ -32,18 +36,24 @@ def _weak_zobrist(n: int, q: int, seed: int) -> np.ndarray:
 
 @contextmanager
 def engine_setting(kind: str):
-    """The engine as configured, or with Zobrist hashing, a weak hash or tiny blocks."""
+    """The engine as configured, or with Zobrist hashing, a weak hash, tiny
+    blocks or no reduction of the code; "+" joins settings."""
+    kinds = kind.split("+")
     with ExitStack() as stack:
-        if kind in ("zobrist", "weak"):
+        if "zobrist" in kinds or "weak" in kinds:
             stack.enter_context(mock.patch.object(verify, "_DENSE_TABLE_MAX", 0))
-        if kind == "weak":
+        if "weak" in kinds:
             stack.enter_context(mock.patch.object(verify, "_zobrist", _weak_zobrist))
-        if kind == "tiny-blocks":
+        if "tiny-blocks" in kinds:
             stack.enter_context(mock.patch.object(verify, "_BLOCK_ELEMS", 7))
+        if "unreduced" in kinds:
+            stack.enter_context(mock.patch.object(verify, "_reduce", lambda code: code))
         yield
 
 
-ENGINE_SETTINGS = ("dense", "zobrist", "weak", "tiny-blocks")
+ENGINE_SETTINGS = (
+    "dense", "zobrist", "weak", "tiny-blocks", "unreduced", "unreduced+zobrist"
+)
 
 
 @st.composite
@@ -151,3 +161,66 @@ def test_stats_report_the_capture_histogram() -> None:
         pairs=4, histogram=((2, 2), (4, 2)), max_capture=4
     )
     assert verify.capture_stats(Code.from_words([(0, 1, 0)])).max_capture == 1
+
+
+@st.composite
+def near_compositions(draw) -> Code:
+    """A q-ary code's one-hot composition with constant columns inserted; in
+    about half the draws one row of one block has weight 0 or 2 instead."""
+    source = draw(codes(n=st.integers(1, 3)))
+    bits = one_hot_compose(source).array.copy()
+    if draw(st.booleans()):
+        row = draw(st.integers(0, source.M - 1))
+        block = draw(st.integers(0, source.n - 1))
+        slot = draw(st.integers(0, source.q - 1))
+        # the row's own slot loses its 1 (weight 0), any other slot gains one (weight 2)
+        bits[row, block * source.q + slot] = slot != source.array[row, block]
+    for at in draw(st.lists(st.integers(0, bits.shape[1]), max_size=4)):
+        bits = np.insert(bits, at, draw(st.integers(0, 1)), axis=1)
+    return Code(n=bits.shape[1], M=source.M, q=2, words=bits)
+
+
+@settings(max_examples=150, deadline=None)
+@given(near_compositions())
+def test_reduction_keeps_every_verdict_witness_and_stat(code) -> None:
+    reduced = verify._reduce(code)
+    assert reduced.M == code.M and reduced.n <= code.n
+    for pair in combinations(range(code.M), 2):
+        assert captured_indices(reduced.array, pair) == captured_indices(code.array, pair)
+    for t in (2, 3):
+        for decide in (verify.is_fpc, verify.is_sc, verify.is_ssc):
+            got = decide(code, t)
+            with engine_setting("unreduced"):
+                want = decide(code, t)
+            assert got == want and got.stats == want.stats
+    with engine_setting("unreduced"):
+        want_stats = verify.capture_stats(code)
+    assert verify.capture_stats(code) == want_stats
+
+
+IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+@pytest.mark.parametrize(
+    "broken",
+    (((0, 0, 0),) + IDENTITY[1:], ((1, 1, 0),) + IDENTITY[1:]),
+    ids=("weight-0", "weight-2"),
+)
+def test_a_near_one_hot_block_is_not_collapsed(broken) -> None:
+    assert verify._reduce(Code.from_words(IDENTITY)) == Code.from_words([(0,), (1,), (2,)])
+    reduced = verify._reduce(Code.from_words(broken))
+    assert reduced.n == 2
+    assert_matches_reference(Code.from_words(broken))
+
+
+def test_reduction_of_trivial_and_irreducible_codes() -> None:
+    single = Code.from_words([(0, 1, 0)])  # every column is constant
+    assert verify._reduce(single) == Code.from_words([(0,)], q=2)
+    for t in (2, 3):
+        for decide in (verify.is_fpc, verify.is_sc, verify.is_ssc):
+            assert decide(single, t).holds
+    assert verify.capture_stats(single).max_capture == 1
+    assert verify._reduce(ZERO_UNITS_ONES) is ZERO_UNITS_ONES
+    q_ary = build_length3(12, 3)
+    assert verify._reduce(q_ary) is q_ary
+    assert verify._reduce(one_hot_compose(q_ary)) == q_ary

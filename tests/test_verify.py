@@ -125,6 +125,16 @@ def test_per_coalition_scans_over_the_work_limit_are_refused_at_once() -> None:
         assert time.perf_counter() - start < 1.0
 
 
+def test_a_huge_alphabet_is_verified_through_ranked_symbols() -> None:
+    # an (n, q) table of per-symbol hash terms would take 16 TiB here
+    code = Code(n=2, M=3, q=2**40, words=[(0, 1), (5, 2**40 - 1), (7, 3)])
+    for decide in (is_fpc, is_sc, is_ssc):
+        verdict = decide(code, 2)
+        assert verdict.holds
+        assert verdict.stats.histogram == ((2, 3),)
+        assert decide(code, 3).holds
+
+
 # ---------------------------------------------------------------------- is_sc
 
 
