@@ -254,11 +254,6 @@ def coalition_indices(code: Code, members: Iterable[int]) -> tuple[int, ...]:
     return tuple(idx)
 
 
-def words_array(code: Code) -> np.ndarray:
-    """The code as a writable (M, n) int64 array, for key arithmetic."""
-    return code.array.astype(np.int64)
-
-
 def captured_indices(arr: np.ndarray, members: Sequence[int]) -> list[int]:
     """Indices of rows of ``arr`` lying in the descendant of the given rows."""
     sub = arr[list(members)]

@@ -52,25 +52,23 @@ read from the words D adds to the pair) that decides strong
 ``desc_cap_bound`` computes the capture bound whose value <= 3 is a
 sufficient condition for strong 2-separability.
 
-``is_fpc``, ``is_sc``, ``is_ssc`` and ``capture_stats`` first reduce the
-code, keeping every captured set and codeword index.  A constant column never decides membership in a descendant, so
-it is dropped.  On a binary code, a contiguous run of columns holding
-exactly one 1 in every row is one position whose symbol is the slot of
-that 1: a codeword lies in desc(S) on the run iff some member of S holds
-its slot, because its 1 must come from someone.  So a one-hot composition
-verifies at the cost of its q-ary source, for every t.  Each position's
-symbols are then relabelled by rank, so no alphabet exceeds M.  Verdicts,
-witnesses and stats hold only codeword indices and captured-set sizes, so
-they are those of the code as given; the work limit is counted on the
-reduced code, whose comparisons the scan makes.  ``forbidden_type_scan``,
-``shortened_sc_check`` and the length check of ``desc_cap_bound`` read
-positions of the length-3 code itself, and the oracle ``is_ssc_naive``
-stays literal; none of them reduces.
+Every scan reduces the code first, keeping every captured set and codeword
+index.  A constant column never decides membership in a descendant, so it
+is dropped.  On a binary code, a contiguous run of columns holding exactly
+one 1 in every row is one position whose symbol is the slot of that 1: a
+codeword lies in desc(S) on the run iff some member of S holds its slot,
+because its 1 must come from someone.  So a one-hot composition verifies
+at the cost of its q-ary source, for every t.  Each position's symbols are
+then relabelled by rank, so no alphabet exceeds M and no scan pays for
+the declared q.  The engine, the captured sets and the work limit run on
+the reduced code; the tests on each coalition read the code as given,
+which has the same captured sets.  So verdicts, witnesses and stats are
+those of the code as given.  ``shortened_sc_check`` and the oracle
+``is_ssc_naive`` read the code as given.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import count
@@ -79,16 +77,8 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .codes import (
-    Code,
-    Word,
-    captured_indices,
-    descendant,
-    shortened,
-    words_array,
-)
+from .codes import Code, Word, captured_indices, descendant, shortened
 
-NAIVE_CAPTURE_BOUND = 25
 # symbol comparisons above which a per-coalition scan is refused: about half a
 # minute of a holding t = 3 is_ssc (4e7 a second on a 2-vCPU Intel Xeon)
 _WORK_LIMIT = 10**9
@@ -306,10 +296,10 @@ class _WordIndex:
     """
 
     def __init__(self, code: Code):
-        self.words = words_array(code)
+        self.words = code.array
         self.dense = code.q**code.n <= _DENSE_TABLE_MAX
         if self.dense:
-            self.terms = self.words * code.q ** np.arange(code.n)
+            self.terms = self.words.astype(np.int64) * code.q ** np.arange(code.n)
             self.keys = self.terms.sum(axis=1)
             self.table = np.full(code.q**code.n, -1, dtype=np.int32)
             self.table[self.keys] = np.arange(code.M)
@@ -407,39 +397,23 @@ def _capture_blocks(
         yield first, second, _capture_counts(index, first, second)
 
 
-class _Tally:
-    """Accumulates the captured-set size histogram into CaptureStats."""
-
-    def __init__(self):
-        self.sizes: Counter[int] = Counter()
-
-    def add(self, counts: np.ndarray) -> None:
-        self.sizes.update(dict(enumerate(np.bincount(counts).tolist())))
-
-    def stats(self) -> CaptureStats:
-        histogram = tuple((size, n) for size, n in sorted(self.sizes.items()) if n)
-        return CaptureStats(
-            pairs=sum(self.sizes.values()),
-            histogram=histogram,
-            max_capture=max((size for size, _ in histogram), default=1),
-        )
-
-
 def _scan(
     code: Code,
     t: int,
-    test: Callable[[tuple[int, ...], Sequence[int]], Optional[Witness]],
+    test: Optional[Callable[[tuple[int, ...], Sequence[int]], Optional[Witness]]],
     least: int = 3,
 ) -> Verdict:
     """First coalition, lexicographically, for which ``test`` finds a witness.
 
-    ``test(coalition, captured)`` sees the coalition's sorted captured set
-    from ``captured_indices``.  t >= 3 takes every coalition that way; for
-    t = 2 the engine counts every pair's captured set and only the pairs
-    capturing at least ``least`` codewords are taken (singletons and pairs
-    capturing only themselves never fail the tests here).
+    The code is reduced first; ``test(coalition, captured)`` sees the
+    coalition's sorted captured set from ``captured_indices`` on the reduced
+    code, which is that of the code as given.  t >= 3 takes every coalition
+    that way; for t = 2 the engine counts every pair's captured set and only
+    the pairs capturing at least ``least`` codewords are taken (singletons
+    and pairs capturing only themselves never fail the tests here).
     """
     _validate_t(t)
+    code = _reduce(code)
     arr = code.array
     if t > 2:
         for coalition in _coalitions(code, t):
@@ -447,24 +421,32 @@ def _scan(
             if witness is not None:
                 return Verdict(False, witness)
         return Verdict(True)
-    tally = _Tally()
+    histogram = np.zeros(code.M + 1, dtype=np.int64)  # pairs by captured-set size
+    witness = None
     for first, second, counts in _capture_blocks(_WordIndex(code)):
         for r in np.flatnonzero(counts >= least).tolist():
             pair = (int(first[r]), int(second[r]))
             witness = test(pair, captured_indices(arr, pair))
             if witness is not None:
-                tally.add(counts[: r + 1])
-                return Verdict(False, witness, tally.stats())
-        tally.add(counts)
-    return Verdict(True, stats=tally.stats())
+                counts = counts[: r + 1]
+                break
+        tally = np.bincount(counts)
+        histogram[: tally.size] += tally
+        if witness is not None:
+            break
+    sizes = np.flatnonzero(histogram)
+    stats = CaptureStats(
+        pairs=int(histogram.sum()),
+        histogram=tuple(zip(sizes.tolist(), histogram[sizes].tolist())),
+        max_capture=int(sizes[-1]) if sizes.size else 1,
+    )
+    return Verdict(witness is None, witness, stats)
 
 
 def capture_stats(code: Code) -> CaptureStats:
     """Captured-set size histogram over all pairs of the code (the engine's tally)."""
-    tally = _Tally()
-    for _, _, counts in _capture_blocks(_WordIndex(_reduce(code))):
-        tally.add(counts)
-    return tally.stats()
+    # no pair captures more than M codewords, so the scan tests none
+    return _scan(code, 2, None, least=code.M + 1).stats
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +467,7 @@ def _framing(
 
 def is_fpc(code: Code, t: int) -> Verdict:
     """Decide the t-frameproof property: desc(S) captures nothing outside S."""
-    return _scan(_reduce(code), t, _framing)
+    return _scan(code, t, _framing)
 
 
 def _same_descendant(
@@ -531,7 +513,6 @@ def is_sc(code: Code, t: int) -> Verdict:
       differ and i's symbol wherever they agree, so k = j;
     * two disjoint pairs with equal descendants each capture all four words.
     """
-    code = _reduce(code)
     return _scan(code, t, partial(_collision, code, t), least=4)
 
 
@@ -565,31 +546,30 @@ def is_ssc(code: Code, t: int) -> Verdict:
     c repeats word i's symbol at every position where i and j differ, which
     makes c = i.
     """
-    code = _reduce(code)
     return _scan(code, t, partial(_ambiguity, code), least=4)
 
 
-def is_ssc_naive(
-    code: Code, t: int, capture_bound: int = NAIVE_CAPTURE_BOUND
-) -> Verdict:
+def is_ssc_naive(code: Code, t: int) -> Verdict:
     """Literal strong t-separability: intersect all subsets sharing a descendant.
 
     For each coalition C0 enumerates every non-empty subset of the captured
     set D, collects those with descendant equal to desc(C0), intersects
-    them, and compares with C0.  Exponential in |D|; refuses |D| above
-    ``capture_bound``, and refuses at any t a scan over the work limit of
-    ``_coalitions``.  This is the oracle the fast criterion is validated
-    against.
+    them, and compares with C0.  Exponential in |D|: the subsets of D hold
+    |D| * 2^(|D|-1) words of n symbols.  That count joins a running total
+    before each D is enumerated, and the scan is refused once the total
+    passes the work limit that ``_coalitions`` checks up front.  This is the
+    oracle the fast criterion is validated against.
     """
     _validate_t(t)
-    arr = words_array(code)
+    work = 0
     for coalition in _coalitions(code, t):
         target = descendant(code.words[i] for i in coalition)
-        captured = captured_indices(arr, coalition)
-        if len(captured) > capture_bound:
+        captured = captured_indices(code.array, coalition)
+        work += len(captured) * 2 ** (len(captured) - 1) * code.n
+        if work > _WORK_LIMIT:
             raise ValueError(
-                f"oracle bound: captured set has {len(captured)} codewords, "
-                f"above {capture_bound}"
+                f"oracle: captured set of {len(captured)} codewords at {coalition}, "
+                f"over {_WORK_LIMIT:,} symbols"
             )
         matching: list[tuple[int, ...]] = []
         for pick in index_subsets_lex(len(captured), len(captured)):
@@ -654,9 +634,11 @@ def shortened_sc_check(code: Code) -> Verdict:
     if code.n != 3:
         raise ValueError("shortened-code criterion is defined for length-3 codes only")
     for position in range(3):
-        cache = {g: shortened(code, position, g) for g in range(code.q)}
-        for g1 in range(code.q):
-            for g2 in range(g1 + 1, code.q):
+        # an absent symbol's shortened code is empty and shares nothing
+        symbols = np.unique(code.array[:, position]).tolist()
+        cache = {g: shortened(code, position, g) for g in symbols}
+        for k, g1 in enumerate(symbols):
+            for g2 in symbols[k + 1 :]:
                 shared = cache[g1] & cache[g2]
                 if len(shared) > 1:
                     return Verdict(

@@ -3,7 +3,8 @@
 Each body is the library's earlier implementation, kept word for word: one
 ``captured_indices`` (or ``descendant``) call per coalition, scanned in
 lexicographic order, with the earlier t cap (``max_t``), the frozenset
-forbidden patterns and the feasible-set fingerprint as local helpers.
+forbidden patterns, the feasible-set fingerprint and the int64 word array
+(``words_array``) as local helpers.
 The equivalence tests require the engine-backed verifiers in
 ``sepcode.verify`` to return equal Verdicts, witnesses included.
 """
@@ -13,6 +14,8 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb
 
+import numpy as np
+
 from sepcode.codes import (
     Code,
     FeasibleSet,
@@ -20,7 +23,6 @@ from sepcode.codes import (
     captured_indices,
     descendant,
     hamming,
-    words_array,
 )
 from sepcode.verify import (
     AmbiguityWitness,
@@ -40,6 +42,10 @@ def _validate_t(t: int, max_t: int) -> None:
         raise ValueError("t must be at least 2")
     if t > max_t:
         raise ValueError(f"t={t} above cap {max_t}; pass a larger max_t to override")
+
+
+def words_array(code: Code) -> np.ndarray:
+    return code.array.astype(np.int64)
 
 
 def _key(feasible: FeasibleSet) -> tuple[tuple[int, ...], ...]:

@@ -5,7 +5,7 @@ Codes with q^n <= 4096 always take the dense-table index and fit one
 block, so each check also runs with the dense table switched off (Zobrist
 hashing), with a deliberately weak hash whose collisions only the exact
 confirmation of every hit can absorb, and with blocks of a pair or two.
-The deciders reduce a code first (a one-hot composition to its q-ary
+Every scan reduces the code first (a one-hot composition to its q-ary
 source), so each check also runs with the reduction switched off, under
 the dense and the Zobrist index, to keep the full-length binary path
 covered; a property test compares the two paths.
@@ -211,6 +211,21 @@ def test_a_near_one_hot_block_is_not_collapsed(broken) -> None:
     reduced = verify._reduce(Code.from_words(broken))
     assert reduced.n == 2
     assert_matches_reference(Code.from_words(broken))
+
+
+@pytest.mark.parametrize(
+    "words",
+    (
+        IDENTITY,
+        ((0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)),
+        ((1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)),
+    ),
+    ids=("one-run", "constant-column", "two-column-run"),
+)
+def test_length3_criteria_on_binary_codes_whose_reduction_shortens_them(words) -> None:
+    code = Code.from_words(words)
+    assert verify._reduce(code).n < 3
+    assert_matches_reference(code)
 
 
 def test_reduction_of_trivial_and_irreducible_codes() -> None:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 import time
 from itertools import product
+from unittest import mock
 
 import pytest
 
@@ -13,6 +14,7 @@ from conftest import (
     brute_is_sc,
     random_code,
 )
+from sepcode import verify
 from sepcode.codes import Code, desc_intersect_code, descendant, hamming, shortened
 from sepcode.construct import build_length3, optimal_s
 from sepcode.verify import (
@@ -215,11 +217,14 @@ def test_ssc_failure_witnesses_revalidate_on_random_codes() -> None:
 
 
 def test_ssc_naive_refuses_oversized_captured_sets() -> None:
-    code = Code.from_words(
-        [(a, b, c) for a in range(2) for b in range(2) for c in range(2)], q=2
-    )
-    with pytest.raises(ValueError, match="oracle bound"):
-        is_ssc_naive(code, 2, capture_bound=3)
+    # the length-5 binary cube, 00000 and 11111 first: the pair (0, 1)
+    # captures all 32 words, whose subsets hold 32 * 2^31 * 5 symbols
+    ends = [(0,) * 5, (1,) * 5]
+    code = Code.from_words(ends + [w for w in product(range(2), repeat=5) if w not in ends])
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"captured set of 32 codewords at \(0, 1\)"):
+        is_ssc_naive(code, 2)
+    assert time.perf_counter() - start < 1.0
 
 
 # -------------------------------------------------------- length-3 criteria
@@ -260,6 +265,17 @@ def test_forbidden_scan_matches_ssc_on_separable_random_codes() -> None:
     assert checked > 30
 
 
+def test_forbidden_scan_on_a_huge_alphabet_builds_no_symbol_table() -> None:
+    # a (3, q) table of per-symbol hash terms would take 24 TiB here
+    code = Code(n=3, M=3, q=2**40, words=[(0, 1, 2**40 - 1), (5, 2**40 - 2, 3), (7, 3, 0)])
+    start = time.perf_counter()
+    with mock.patch.object(verify, "_zobrist", side_effect=AssertionError("(n, q) table")):
+        verdict = forbidden_type_scan(code)
+        assert desc_cap_bound(code) == 2
+    assert time.perf_counter() - start < 1.0
+    assert verdict.holds and verdict.stats.histogram == ((2, 3),)
+
+
 def test_forbidden_scan_requires_length_3() -> None:
     with pytest.raises(ValueError, match="length-3"):
         forbidden_type_scan(FULL_SQUARE)
@@ -281,6 +297,19 @@ def test_shortened_check_fails_on_replicated_tails() -> None:
         position=0, symbols=(0, 1), shared=((0, 0), (1, 1))
     )
     revalidate(code, verdict)
+
+
+def test_shortened_check_reads_only_the_symbols_present() -> None:
+    # q^2 / 2 symbol pairs per position would be 5e11 steps here
+    q = 10**6
+    start = time.perf_counter()
+    sparse = Code(n=3, M=3, q=q, words=[(0, 1, 2), (q - 1, 5, 7), (9, q - 2, 3)])
+    assert shortened_sc_check(sparse).holds
+    tails = Code(n=3, M=4, q=q, words=[(q - 1, 0, 0), (q - 1, 1, 1), (5, 0, 0), (5, 1, 1)])
+    assert shortened_sc_check(tails).witness == OverlapWitness(
+        position=0, symbols=(5, q - 1), shared=((0, 0), (1, 1))
+    )
+    assert time.perf_counter() - start < 1.0
 
 
 def test_shortened_check_holds_on_singleton_code() -> None:
