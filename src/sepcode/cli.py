@@ -2,10 +2,13 @@
 
 Subcommands: construct, verify, trace, simulate, compose.  Exit codes:
 0 success or property holds, 1 property fails, 2 tracer overflow, 64 usage
-error, 65 malformed code file.  Codeword labels are 1-based on the command
-line (library internals are 0-based).  Reports serialize to a single JSON
-document with sorted keys, so identical arguments and seed give
-byte-identical output.
+error, 65 malformed code file.  Handlers return their exit code, report
+inputs, report result and human lines; ``main`` alone wraps them in the run
+report, emits it, and maps errors to exit codes: ``CodeFormatError`` to 65,
+and ``ValueError`` or ``OSError`` to 64.  Codeword labels are 1-based on
+the command line (library internals are 0-based).  Reports serialize to a
+single JSON document with sorted keys, so identical arguments and seed
+give byte-identical output.
 """
 
 from __future__ import annotations
@@ -50,13 +53,9 @@ EXIT_USAGE = 64
 EXIT_PARSE = 65
 
 
-class CliError(Exception):
-    """Usage-level error; maps to exit code 64."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse's default exit code 2 is taken by overflow
-        raise CliError(message)
+        raise ValueError(message)
 
 
 def _labels(indices) -> list[int]:
@@ -128,144 +127,110 @@ def _trace_json(report: TraceReport) -> dict:
     }
 
 
-def _run_report(command: str, inputs: dict, result: dict) -> dict:
-    return {
-        "command": command,
-        "inputs": inputs,
-        "result": result,
-        "version": __version__,
-    }
+def _trace_line(report: TraceReport, identified: str) -> str:
+    """Human line for a trace: the overflow message, or ``identified`` with the accused labels."""
+    accused = " ".join(map(str, _labels(report.colluders))) or "(none)"
+    if report.overflow:
+        return f"overflow: {report.message} (accused {accused})"
+    return identified.format(accused)
 
 
-def _emit(args, report: dict, human_lines: list[str]) -> None:
-    target = getattr(args, "json", None)
-    if target is None:
-        for line in human_lines:
-            print(line)
-        return
-    payload = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if target == "-":
-        sys.stdout.write(payload)
-    else:
+def _emit(target: str | None, report: dict, lines: list[str]) -> None:
+    """Write the JSON report to stdout (``-``) or to a file, and the lines unless stdout took it."""
+    if target is not None:
+        payload = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        if target == "-":
+            sys.stdout.write(payload)
+            return
         Path(target).write_text(payload)
-        for line in human_lines:
-            print(line)
+    for line in lines:
+        print(line)
 
 
 def _load_code(path: str) -> Code:
     try:
         return read_code_file(path)
     except FileNotFoundError:
-        raise CliError(f"no such code file: {path}") from None
+        raise ValueError(f"no such code file: {path}") from None
 
 
-def _cmd_construct(args) -> int:
+# What each handler returns: exit code, report inputs, report result, human lines.
+_Outcome = tuple[int, dict, dict, list[str]]
+
+
+def _cmd_construct(args) -> _Outcome:
     q = args.q
     s = args.s if args.s is not None else optimal_s(q).s
     code = build_length3(q, s)
     write_code_file(args.out, code)
-    result = {
-        "q": q,
-        "s": s,
-        "m": q % 8,
-        "w": size_defect(q),
-        "M": code.M,
-        "out": str(args.out),
-    }
-    report = _run_report(
-        "construct", {"q": q, "s": args.s, "out": str(args.out)}, result
-    )
-    _emit(
-        args,
-        report,
-        [
-            f"wrote (3, {code.M}, {q}) code to {args.out}"
-            f" (s={s}, m={result['m']}, w={result['w']})"
-        ],
-    )
-    return EXIT_OK
+    m, w = q % 8, size_defect(q)
+    result = {"q": q, "s": s, "m": m, "w": w, "M": code.M, "out": args.out}
+    line = f"wrote (3, {code.M}, {q}) code to {args.out} (s={s}, m={m}, w={w})"
+    return EXIT_OK, {"q": q, "s": args.s, "out": args.out}, result, [line]
 
 
 _VERIFIERS = {"fpc": is_fpc, "sc": is_sc, "ssc": is_ssc}
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> _Outcome:
     if args.oracle and args.property != "ssc":
-        raise CliError("--oracle applies only to --property ssc")
+        raise ValueError("--oracle applies only to --property ssc")
     code = _load_code(args.code)
     if args.oracle:
         verdict: Verdict = is_ssc_naive(code, args.t)
     else:
         verdict = _VERIFIERS[args.property](code, args.t)
+    witness = _witness_json(verdict.witness)
     result = {
         "property": args.property,
         "t": args.t,
-        "oracle": bool(args.oracle),
+        "oracle": args.oracle,
         "holds": verdict.holds,
-        "witness": _witness_json(verdict.witness),
+        "witness": witness,
         "stats": _stats_json(verdict.stats),
     }
-    report = _run_report(
-        "verify",
-        {"code": str(args.code), "property": args.property, "t": args.t},
-        result,
-    )
-    if verdict.holds:
-        lines = [f"{args.property} holds at t={args.t} for {args.code}"]
-    else:
-        lines = [
-            f"{args.property} fails at t={args.t} for {args.code}: "
-            f"{json.dumps(_witness_json(verdict.witness), sort_keys=True)}"
-        ]
-    _emit(args, report, lines)
-    return EXIT_OK if verdict.holds else EXIT_FAIL
+    inputs = {"code": args.code, "property": args.property, "t": args.t}
+    line = f"{args.property} {'holds' if verdict.holds else 'fails'} at t={args.t} for {args.code}"
+    if not verdict.holds:
+        line += f": {json.dumps(witness, sort_keys=True)}"
+    return (EXIT_OK if verdict.holds else EXIT_FAIL), inputs, result, [line]
 
 
-def _cmd_trace(args) -> int:
+def _cmd_trace(args) -> _Outcome:
     code = _load_code(args.code)
     feasible = parse_feasible_line(args.r)
     tracer = ssc_trace if args.algorithm == "ssc" else lacc_identify
-    trace_report = tracer(code, feasible, args.t)
-    result = _trace_json(trace_report)
-    report = _run_report(
-        "trace",
-        {
-            "code": str(args.code),
-            "r": format_feasible_line(feasible),
-            "t": args.t,
-            "algorithm": args.algorithm,
-        },
-        result,
-    )
-    accused = " ".join(map(str, _labels(trace_report.colluders))) or "(none)"
-    if trace_report.overflow:
-        lines = [f"overflow: {trace_report.message} (accused {accused})"]
-    else:
-        lines = [f"identified colluders: {accused}"]
-    _emit(args, report, lines)
-    return EXIT_OVERFLOW if trace_report.overflow else EXIT_OK
+    report = tracer(code, feasible, args.t)
+    inputs = {
+        "code": args.code,
+        "r": format_feasible_line(feasible),
+        "t": args.t,
+        "algorithm": args.algorithm,
+    }
+    line = _trace_line(report, "identified colluders: {}")
+    return (EXIT_OVERFLOW if report.overflow else EXIT_OK), inputs, _trace_json(report), [line]
 
 
 def _parse_colluders(raw: str, code: Code) -> list[int]:
     try:
         labels = [int(tok) for tok in raw.replace(",", " ").split()]
     except ValueError:
-        raise CliError(f"colluders must be comma-separated integers, got {raw!r}") from None
+        raise ValueError(f"colluders must be comma-separated integers, got {raw!r}") from None
     if not labels:
-        raise CliError("at least one colluder is required")
+        raise ValueError("at least one colluder is required")
     indices = []
     for label in labels:
         if not 1 <= label <= code.M:
-            raise CliError(f"colluder {label} out of range 1..{code.M}")
+            raise ValueError(f"colluder {label} out of range 1..{code.M}")
         if label - 1 in indices:
-            raise CliError(f"colluder {label} is listed twice")
+            raise ValueError(f"colluder {label} is listed twice")
         indices.append(label - 1)
     return indices
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> _Outcome:
     if args.then_trace and 2 * args.t * args.eps >= 1:
-        raise CliError(
+        raise ValueError(
             f"--eps {args.eps} must be below 1/(2t) = {1 / (2 * args.t):g}"
             f" for --t {args.t}: wider bands can merge a coalition's interior"
             " averages k/t into 0 or 1"
@@ -278,48 +243,33 @@ def _cmd_simulate(args) -> int:
     stats = correlate(ctx, averaging_attack(signals))
     feasible = threshold(stats, args.eps)
     r_line = format_feasible_line(feasible)
+    inputs = {
+        "code": args.code,
+        "colluders": _labels(colluders),
+        "dim": dim,
+        "alpha": args.alpha,
+        "seed": args.seed,
+        "eps": args.eps,
+        "then_trace": args.then_trace,
+        "t": args.t,
+    }
     result: dict = {
         "T": [float(v) for v in stats.values],
         "R": r_line,
         "colluders": _labels(colluders),
     }
-    lines = [
-        "T = " + " ".join(repr(float(v)) for v in stats.values),
-        f"R = {r_line}",
-    ]
-    exit_code = EXIT_OK
-    if args.then_trace:
-        trace_report = ssc_trace(code, feasible, args.t)
-        match = not trace_report.overflow and trace_report.colluders == frozenset(
-            colluders
-        )
-        result["trace"] = _trace_json(trace_report)
-        result["match"] = match
-        recovered = " ".join(map(str, _labels(trace_report.colluders)))
-        if trace_report.overflow:
-            lines.append(f"overflow: {trace_report.message} (accused {recovered})")
-            exit_code = EXIT_OVERFLOW
-        else:
-            lines.append(f"recovered colluders: {recovered} (match={str(match).lower()})")
-    report = _run_report(
-        "simulate",
-        {
-            "code": str(args.code),
-            "colluders": _labels(colluders),
-            "dim": dim,
-            "alpha": args.alpha,
-            "seed": args.seed,
-            "eps": args.eps,
-            "then_trace": bool(args.then_trace),
-            "t": args.t,
-        },
-        result,
-    )
-    _emit(args, report, lines)
-    return exit_code
+    lines = ["T = " + " ".join(repr(float(v)) for v in stats.values), f"R = {r_line}"]
+    if not args.then_trace:
+        return EXIT_OK, inputs, result, lines
+    report = ssc_trace(code, feasible, args.t)
+    match = not report.overflow and report.colluders == frozenset(colluders)
+    result["trace"] = _trace_json(report)
+    result["match"] = match
+    lines.append(_trace_line(report, f"recovered colluders: {{}} (match={str(match).lower()})"))
+    return (EXIT_OVERFLOW if report.overflow else EXIT_OK), inputs, result, lines
 
 
-def _cmd_compose(args) -> int:
+def _cmd_compose(args) -> _Outcome:
     code = _load_code(args.code)
     composed = one_hot_compose(code)
     write_code_file(args.out, composed)
@@ -328,17 +278,10 @@ def _cmd_compose(args) -> int:
         "M": composed.M,
         "q": composed.q,
         "source_q": code.q,
-        "out": str(args.out),
+        "out": args.out,
     }
-    report = _run_report(
-        "compose", {"code": str(args.code), "out": str(args.out)}, result
-    )
-    _emit(
-        args,
-        report,
-        [f"wrote ({composed.n}, {composed.M}, 2) code to {args.out}"],
-    )
-    return EXIT_OK
+    line = f"wrote ({composed.n}, {composed.M}, 2) code to {args.out}"
+    return EXIT_OK, {"code": args.code, "out": args.out}, result, [line]
 
 
 def _add_json_flag(parser: argparse.ArgumentParser) -> None:
@@ -416,17 +359,19 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.handler(args)
-    except CliError as exc:
-        print(f"sepcode: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        exit_code, inputs, result, lines = args.handler(args)
+        report = {
+            "command": args.command,
+            "inputs": inputs,
+            "result": result,
+            "version": __version__,
+        }
+        _emit(args.json, report, lines)
+        return exit_code
     except CodeFormatError as exc:
         print(f"sepcode: malformed code file: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except ValueError as exc:
-        print(f"sepcode: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"sepcode: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

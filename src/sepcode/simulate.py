@@ -83,8 +83,8 @@ def make_context(dim: int, n: int, alpha: float, seed: int) -> EmbeddingContext:
         raise ValueError("need at least one basis signal")
     if n > dim:
         raise ValueError(f"cannot fit {n} orthonormal signals in dimension {dim}")
-    if alpha <= 0:
-        raise ValueError("embedding strength alpha must be positive")
+    if not (alpha > 0 and np.isfinite(alpha)):
+        raise ValueError(f"embedding strength alpha must be positive and finite, got {alpha}")
     rng = np.random.default_rng(seed)
     host = rng.standard_normal(dim)
     basis = None

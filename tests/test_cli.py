@@ -240,6 +240,26 @@ def test_simulate_zero_word_colluder(units_file, capsys) -> None:
     assert json.loads(capsys.readouterr().out)["result"]["R"] == "000"
 
 
+def test_simulate_rejects_a_non_finite_alpha(units_file, capsys) -> None:
+    for alpha in ("nan", "inf"):
+        args = ["simulate", units_file, "--colluders", "2,3", "--alpha", alpha, "--then-trace"]
+        assert main(args) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "alpha" in captured.err
+
+
+def test_simulate_then_trace_prints_none_when_nobody_is_accused(tmp_path, capsys) -> None:
+    square = tmp_path / "square.code"
+    square.write_text(format_code_text(Code.from_words([(0, 0), (0, 1), (1, 0), (1, 1)])))
+    rc = main(["simulate", str(square), "--colluders", "1,4", "--then-trace"])
+    assert rc == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "R = **",
+        "recovered colluders: (none) (match=false)",
+    ]
+
+
 def test_simulate_rejects_bad_colluders(units_file, capsys) -> None:
     assert main(["simulate", units_file, "--colluders", "9"]) == EXIT_USAGE
     assert main(["simulate", units_file, "--colluders", "a,b"]) == EXIT_USAGE
@@ -307,3 +327,30 @@ def test_missing_file_is_a_usage_error(capsys) -> None:
 
 def test_unknown_flag_is_a_usage_error(units_file, capsys) -> None:
     assert main(["verify", units_file, "--property", "ssc", "--bogus"]) == EXIT_USAGE
+
+
+# One run of each subcommand: its arguments after the subcommand name, with
+# {units} and {tmp} filled in, and its exit code.
+SUBCOMMAND_RUNS = {
+    "construct": (["--q", "4", "--out", "{tmp}/q4.code"], EXIT_OK),
+    "verify": (["{units}", "--property", "fpc"], EXIT_FAIL),
+    "trace": (["{units}", "--r", "***"], EXIT_OVERFLOW),
+    "simulate": (["{units}", "--colluders", "2,3", "--dim", "8", "--then-trace"], EXIT_OK),
+    "compose": (["{units}", "--out", "{tmp}/composed.code"], EXIT_OK),
+}
+
+
+@pytest.mark.parametrize("command", list(SUBCOMMAND_RUNS))
+def test_every_subcommand_emits_one_report_envelope(
+    command, units_file, tmp_path, capsys
+) -> None:
+    rest, exit_code = SUBCOMMAND_RUNS[command]
+    argv = [command] + [arg.format(units=units_file, tmp=tmp_path) for arg in rest]
+    assert main(argv + ["--json"]) == exit_code
+    stdout = capsys.readouterr().out
+    report = json.loads(stdout)
+    assert set(report) == {"command", "inputs", "result", "version"}
+    assert report["command"] == command
+    target = tmp_path / "report.json"
+    assert main(argv + ["--json", str(target)]) == exit_code
+    assert target.read_bytes() == stdout.encode()

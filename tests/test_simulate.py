@@ -44,8 +44,9 @@ def test_context_rejects_overfull_basis() -> None:
 
 
 def test_context_rejects_bad_alpha() -> None:
-    with pytest.raises(ValueError, match="alpha"):
-        make_context(8, 3, 0.0, 1)
+    for alpha in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="alpha"):
+            make_context(8, 3, alpha, 1)
 
 
 def test_context_is_deterministic_per_seed() -> None:
