@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from pathlib import Path
 
@@ -133,6 +134,20 @@ def _code_array(words, n: int, q: int) -> np.ndarray:
     return arr
 
 
+def pack_bits(rows: np.ndarray) -> np.ndarray:
+    """(m, n) 0/1 rows as a (ceil(n/64), m) uint64 array: row i becomes column i.
+
+    Positions 64k .. 64k+63 of a row fill limb k in ``np.packbits`` byte
+    order, so any two packings line up limb for limb; the bits past n are 0.
+    Limb k of all rows is one contiguous run: a reduction over the few limbs
+    then walks whole runs, about ten times faster than along each row.
+    """
+    m, n = rows.shape
+    limbs = np.zeros((m, -(-n // 64) * 8), dtype=np.uint8)
+    limbs[:, : -(-n // 8)] = np.packbits(rows, axis=1)
+    return np.ascontiguousarray(limbs.view(np.uint64).T)
+
+
 @dataclass(frozen=True, eq=False)
 class Code:
     """An (n, M, q) code: M distinct length-n words over {0, ..., q-1}.
@@ -141,7 +156,8 @@ class Code:
     smallest unsigned dtype holding q - 1, validated on construction.
     ``words`` may be given as any (M, n) integer array, a sequence of
     integer tuples or another Code's ``words``; it is kept as a ``Words``
-    row view of ``array``.
+    row view of ``array``.  A binary code also derives ``packed``, its
+    words as uint64 bit limbs, from ``array`` on first use and caches it.
     """
 
     n: int
@@ -176,6 +192,15 @@ class Code:
         if q is None:
             q = max(2, 1 + max(max(w) for w in tup))
         return cls(n=len(tup[0]), M=len(tup), q=q, words=tup)
+
+    @cached_property
+    def packed(self) -> np.ndarray:
+        """``pack_bits(array)`` of a binary code: derived on first use, read-only, cached."""
+        if self.q != 2:
+            raise ValueError("bit packing requires a binary code")
+        packed = pack_bits(self.array)
+        packed.setflags(write=False)
+        return packed
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, type(self)):

@@ -16,12 +16,17 @@ R is the descendant of a coalition of size at most t.  Outside those
 preconditions the accused set is still reported, alongside the overflow
 verdict when it is too large.
 
-Both tracers run on the code's (M, n) array: one vectorized filter over the
-pinned columns, and for the strongly-separable tracer one column-sum pass
-over the candidates.  Reports carry an operation count of one unit per
-(coordinate, codeword) pair those passes cover, pinned*M for the filter
-plus n*M for the column pass, so a full trace costs at most 2*n*M units:
-the count is how the linear-time contract is asserted in tests.
+Both tracers filter on the code's bit-packed words (``Code.packed``, each
+word ceil(n/64) uint64 limbs, derived from the (M, n) array on the first
+trace and cached).  R becomes two limb vectors, a mask of its pinned
+positions and their pinned bits, and a word is a candidate when its limbs
+ANDed with the mask equal the bits: a few integer operations per word,
+whatever the number of pins.  The strongly-separable tracer then makes one
+column-sum pass over the candidates' rows of the array.  Reports carry an
+operation count of one unit per (coordinate, codeword) pair those passes
+decide, pinned*M for the filter plus n*M for the column pass, so a full
+trace costs at most 2*n*M units: the count is how the linear-time contract
+is asserted in tests.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .codes import Code, FeasibleSet, coalition_indices, descendant
+from .codes import Code, FeasibleSet, coalition_indices, descendant, pack_bits
 
 
 @dataclass(frozen=True)
@@ -82,8 +87,12 @@ def _candidates(code: Code, feasible: FeasibleSet, t: int) -> tuple[np.ndarray, 
     if t < 1:
         raise ValueError("t must be at least 1")
     pinned = [j for j, allowed in enumerate(feasible.positions) if len(allowed) == 1]
-    bits = np.array([min(feasible.positions[j]) for j in pinned], dtype=code.array.dtype)
-    keep = (code.array[:, pinned] == bits).all(axis=1)
+    lines = np.zeros((2, code.n), dtype=np.uint8)
+    lines[0, pinned] = 1
+    lines[1, pinned] = [min(feasible.positions[j]) for j in pinned]
+    limbs = pack_bits(lines)
+    mask, bits = limbs[:, :1], limbs[:, 1:]
+    keep = ((code.packed & mask) == bits).all(axis=0)
     if not keep.any():
         raise ValueError("infeasible R: no codeword matches every pinned coordinate")
     return keep, len(pinned)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from conftest import ZERO_PLUS_UNITS, random_code
@@ -195,3 +196,36 @@ def test_operation_counter_formula() -> None:
     assert report.ops == 3 * 4
     report = lacc_identify(ZERO_PLUS_UNITS, fs("0*0"), 2)
     assert report.ops == 2 * 4
+
+
+# ----------------------------------------------------------- packed words
+
+
+def test_traces_share_one_read_only_packing() -> None:
+    code = one_hot_compose(build_length3(4, 1))
+    untraced = Code(code.n, code.M, code.q, code.words)
+    before = (hash(code), repr(code))
+    feasible = coalition_feasible_set(code, (0, 5))
+    ssc_trace(code, feasible, 2)
+    packed = code.packed
+    lacc_identify(code, feasible, 2)
+    assert code.packed is packed
+    with pytest.raises(ValueError, match="read-only"):
+        packed[0, 0] = 0
+    assert (hash(code), repr(code)) == before
+    assert code == untraced and hash(code) == hash(untraced)
+
+
+def test_rebuilt_code_packs_its_own_words() -> None:
+    code = one_hot_compose(build_length3(4, 1))
+    packed = code.packed
+    rebuilt = Code(code.n, code.M, code.q, code.words)
+    assert np.shares_memory(rebuilt.array, code.array)  # the array is shared
+    assert rebuilt.packed is not packed
+    assert np.array_equal(rebuilt.packed, packed)
+
+
+def test_packing_requires_binary_code() -> None:
+    ternary = Code.from_words([(0, 1), (2, 0)], q=3)
+    with pytest.raises(ValueError, match="binary"):
+        ternary.packed
