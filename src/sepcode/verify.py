@@ -22,10 +22,11 @@ pair at distance d has 2^d mixed words (word i with any of the d differing
 positions switched to word j's symbol); the engine looks the 2^d - 2 proper
 ones up in an index of the code under an additive per-position key, so a
 mixed word's key is word i's key plus one delta per switched position.
-When q^n is small the key is the exact mixed-radix index into a dense
-table; otherwise it is a random 64-bit Zobrist hash looked up with
-``searchsorted``, and every hit is confirmed exactly against the pair.  A
-pair with 2^d > M is scanned against the whole code instead.  The cost is
+The key is the exact mixed-radix index of the word over the positions'
+alphabets: it indexes a dense table when their product is small and is
+looked up with ``searchsorted`` otherwise.  A pair with 2^d > M, and every
+pair of a code whose alphabet product passes 2^64 (the key no longer fits
+64 bits), is scanned against the whole code instead.  The cost is
 about pairs x min(2^d, M) lookups, where the per-coalition path pays one
 (M x |S| x n) broadcast per coalition.  Only the few pairs a decider must
 inspect (a count above 2, or above 3 where that is the least that can
@@ -71,8 +72,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import count
-from math import comb
+from math import comb, prod
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -85,7 +85,8 @@ _WORK_LIMIT = 10**9
 # elements per numpy temporary in the capture engine (256 kB at 8 bytes);
 # a tiny code then runs as one batch and a large one in bounded memory
 _BLOCK_ELEMS = 1 << 15
-# largest q^n indexed by a dense table (int32, 8 MB) instead of hashing
+# largest product of alphabet sizes indexed by a dense table (int32, 8 MB)
+# instead of sorted keys
 _DENSE_TABLE_MAX = 1 << 21
 
 
@@ -263,48 +264,38 @@ def _reduce(code: Code) -> Code:
 # ---------------------------------------------------------------------------
 
 
-def _zobrist(n: int, q: int, seed: int) -> np.ndarray:
-    """Random 64-bit key terms, one per (position, symbol)."""
-    return np.random.default_rng(seed).integers(0, 2**64, size=(n, q), dtype=np.uint64)
-
-
-def _zobrist_terms(words: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Zobrist terms of each word's symbols (M x n) and the word hashes.
-
-    Redrawn until each position's terms and the word hashes are distinct.
-    """
-    m, n = words.shape
-    positions = np.arange(n)
-    for seed in count():
-        zobrist = _zobrist(n, q, seed)
-        terms = zobrist[positions, words]
-        hashes = terms.sum(axis=1)
-        distinct_terms = (np.diff(np.sort(zobrist), axis=1) != 0).all()
-        if distinct_terms and np.unique(hashes).size == m:
-            return terms, hashes
-
-
 class _WordIndex:
-    """The code's words under one additive per-position key, for exact lookup.
+    """The code's words under one exact additive per-position key.
 
-    ``terms[c, p]`` is codeword c's key term at position p and ``keys[c]``
-    their sum, so switching position p of a word from a to b moves its key
-    by terms-of-b minus terms-of-a, which is 0 exactly when a = b.  With
-    q^n <= _DENSE_TABLE_MAX the terms are mixed-radix digits and a key is an
-    exact index into ``table``; otherwise they are the Zobrist terms and
-    keys are looked up by ``searchsorted`` (hits must then be confirmed).
+    Position p's alphabet has k_p = max + 1 symbols, and ``terms[c, p]`` is
+    codeword c's symbol there times the mixed-radix place value, the product
+    of k over earlier positions; ``keys[c]`` is their sum.  Switching
+    position p of a word from a to b moves its key by terms-of-b minus
+    terms-of-a, which is 0 exactly when a = b.  Terms are held as int64
+    and wrap modulo 2^64 (a dense gather with int64 indices beats uint64),
+    so while the product of the k_p is at most 2^64 each word over these
+    alphabets, codeword or mixed, has its own key.  Up to
+    ``_DENSE_TABLE_MAX`` a key indexes ``table``; above it keys are looked
+    up by ``searchsorted``.  Above 2^64 the code is not ``keyed``: the terms
+    are then the symbols themselves, which only tell symbols apart, and
+    ``keys`` is unused.
     """
 
     def __init__(self, code: Code):
         self.words = code.array
-        self.dense = code.q**code.n <= _DENSE_TABLE_MAX
+        sizes = self.words.max(axis=0).astype(np.uint64) + 1
+        span = prod(sizes.tolist())
+        self.keyed = span <= 2**64
+        self.dense = span <= _DENSE_TABLE_MAX
+        place = np.ones_like(sizes)
+        if self.keyed:
+            place[1:] = np.cumprod(sizes[:-1])
+        self.terms = (self.words * place).view(np.int64)
+        self.keys = self.terms.sum(axis=1)
         if self.dense:
-            self.terms = self.words.astype(np.int64) * code.q ** np.arange(code.n)
-            self.keys = self.terms.sum(axis=1)
-            self.table = np.full(code.q**code.n, -1, dtype=np.int32)
+            self.table = np.full(span, -1, dtype=np.int32)
             self.table[self.keys] = np.arange(code.M)
-        else:
-            self.terms, self.keys = _zobrist_terms(self.words, code.q)
+        elif self.keyed:
             self.order = np.argsort(self.keys)
             self.ranked = self.keys[self.order]
 
@@ -324,9 +315,7 @@ def _pairs_at(m: int, rank: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first, rank - before[first] + first + 1
 
 
-def _mixed_hits(
-    index: _WordIndex, first: np.ndarray, second: np.ndarray, moves: np.ndarray
-) -> np.ndarray:
+def _mixed_hits(index: _WordIndex, first: np.ndarray, moves: np.ndarray) -> np.ndarray:
     """How many of each pair's 2^d - 2 proper mixed words are codewords.
 
     ``moves`` (d x pairs) holds each pair's nonzero key moves in position
@@ -339,15 +328,6 @@ def _mixed_hits(
     for k in range(d):
         np.add(keys[: 2**k], moves[k], out=keys[2**k : 2 ** (k + 1)])
     found = index.find(keys[1:-1])
-    if not index.dense:  # confirm each hash hit against its mixed word
-        row, col = np.nonzero(found >= 0)
-        hit = index.words[found[row, col]]
-        a, b = index.words[first[col]], index.words[second[col]]
-        cols = np.nonzero(a != b)[1].reshape(-1, d)
-        switched = np.take_along_axis(hit, cols, 1) == np.take_along_axis(b, cols, 1)
-        bits = ((row + 1)[:, None] >> np.arange(d) & 1).astype(bool)
-        exact = ((hit == a) | (hit == b)).all(axis=1) & (switched == bits).all(axis=1)
-        found[row[~exact], col[~exact]] = -1
     return (found >= 0).sum(axis=0)
 
 
@@ -364,7 +344,7 @@ def _capture_counts(
     counts = np.full(first.size, 2)
     for d in np.flatnonzero(np.bincount(distance, minlength=2)[2:]).tolist():
         d += 2
-        mixed = 2**d <= m
+        mixed = 2**d <= m and index.keyed
         group = np.flatnonzero(distance == d)
         step = max(1, _BLOCK_ELEMS // (2**d if mixed else m * n))
         for lo in range(0, group.size, step):
@@ -374,7 +354,7 @@ def _capture_counts(
                 moves = np.take(delta, rows, axis=1)
                 if d < n:
                     moves = moves.T[moves.T != 0].reshape(-1, d).T
-                counts[rows] += _mixed_hits(index, pair_first, pair_second, moves)
+                counts[rows] += _mixed_hits(index, pair_first, moves)
             else:
                 a, b = index.words[pair_first, None], index.words[pair_second, None]
                 inside = (index.words == a) | (index.words == b)

@@ -1,19 +1,20 @@
 """The pair engine behind the t = 2 verifiers, against the per-coalition
 reference deciders (``reference_verify``) and the brute-force oracles.
 
-Codes with q^n <= 4096 always take the dense-table index and fit one
-block, so each check also runs with the dense table switched off (Zobrist
-hashing), with a deliberately weak hash whose collisions only the exact
-confirmation of every hit can absorb, and with blocks of a pair or two.
-Every scan reduces the code first (a one-hot composition to its q-ary
-source), so each check also runs with the reduction switched off, under
-the dense and the Zobrist index, to keep the full-length binary path
-covered; a property test compares the two paths.
+Codes whose alphabet product is at most 4096 always take the dense-table
+index and fit one block, so each check also runs with the dense table
+switched off (sorted keys) and with blocks of a pair or two.  Every scan
+reduces the code first (a one-hot composition to its q-ary source), so
+each check also runs with the reduction switched off, under the dense
+table and the sorted keys, to keep the full-length binary path covered; a
+property test compares the two paths.  Wide codes, whose alphabet product
+passes 2^64, have no key and take the whole-code scan in every setting.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from contextlib import ExitStack, contextmanager
 from itertools import combinations
 from unittest import mock
@@ -30,20 +31,14 @@ from sepcode.codes import Code, captured_indices
 from sepcode.construct import build_length3, one_hot_compose
 
 
-def _weak_zobrist(n: int, q: int, seed: int) -> np.ndarray:
-    return np.random.default_rng(seed).integers(0, 64, size=(n, q), dtype=np.uint64)
-
-
 @contextmanager
 def engine_setting(kind: str):
-    """The engine as configured, or with Zobrist hashing, a weak hash, tiny
-    blocks or no reduction of the code; "+" joins settings."""
+    """The engine as configured, or with sorted keys in place of the dense
+    table, tiny blocks or no reduction of the code; "+" joins settings."""
     kinds = kind.split("+")
     with ExitStack() as stack:
-        if "zobrist" in kinds or "weak" in kinds:
+        if "sorted" in kinds:
             stack.enter_context(mock.patch.object(verify, "_DENSE_TABLE_MAX", 0))
-        if "weak" in kinds:
-            stack.enter_context(mock.patch.object(verify, "_zobrist", _weak_zobrist))
         if "tiny-blocks" in kinds:
             stack.enter_context(mock.patch.object(verify, "_BLOCK_ELEMS", 7))
         if "unreduced" in kinds:
@@ -51,9 +46,7 @@ def engine_setting(kind: str):
         yield
 
 
-ENGINE_SETTINGS = (
-    "dense", "zobrist", "weak", "tiny-blocks", "unreduced", "unreduced+zobrist"
-)
+ENGINE_SETTINGS = ("dense", "sorted", "tiny-blocks", "unreduced", "unreduced+sorted")
 
 
 @st.composite
@@ -70,16 +63,24 @@ def codes(draw, n=st.integers(1, 6), q=st.integers(2, 4)) -> Code:
     return Code.from_words(words, q=q)
 
 
+def _verdicts(module, code: Code, ts) -> dict:
+    verdicts = {
+        (name, t): getattr(module, name)(code, t)
+        for name in ("is_fpc", "is_ssc", "is_sc")
+        for t in ts
+    }
+    if code.n == 3:
+        verdicts["forbidden_type_scan"] = module.forbidden_type_scan(code)
+        verdicts["desc_cap_bound"] = module.desc_cap_bound(code)
+    return verdicts
+
+
 def assert_matches_reference(code: Code, ts=(2, 3, 4)) -> None:
+    # the reference reads none of the engine settings, so it runs once
+    want = _verdicts(ref, code, ts)
     for kind in ENGINE_SETTINGS:
         with engine_setting(kind):
-            for t in ts:
-                assert verify.is_fpc(code, t) == ref.is_fpc(code, t)
-                assert verify.is_ssc(code, t) == ref.is_ssc(code, t)
-                assert verify.is_sc(code, t) == ref.is_sc(code, t)
-            if code.n == 3:
-                assert verify.forbidden_type_scan(code) == ref.forbidden_type_scan(code)
-                assert verify.desc_cap_bound(code) == ref.desc_cap_bound(code)
+            assert _verdicts(verify, code, ts) == want, kind
 
 
 @settings(max_examples=150, deadline=None)
@@ -134,6 +135,49 @@ def test_capture_counts_equal_brute_oracle() -> None:
                         assert size == len(brute_captured(code, (i, j)))
                         seen.append((i, j))
                 assert seen == list(combinations(range(code.M), 2))
+
+
+def _near_zero(length: int, moved: dict[int, int]) -> tuple[int, ...]:
+    return tuple(moved.get(p, 0) for p in range(length))
+
+
+def _zero_and_units(n: int) -> Code:
+    """n binary columns, none one-hot: the alphabet product is 2^n."""
+    units = [_near_zero(n, {p: 1}) for p in range(n)]
+    return Code.from_words([_near_zero(n, {})] + units)
+
+
+# codes at the edge of a 64-bit key, and whether they get one
+KEY_EDGE_CODES = {
+    "binary-2^64": (_zero_and_units(64), True),
+    "binary-2^65": (_zero_and_units(65), False),
+    # ten constant words give each of the 20 positions all ten symbols
+    # (10^20 > 2^64); words near the zero word make pairs at distance 2 and 3
+    "q-ary-10^20": (
+        Code.from_words(
+            [(s,) * 20 for s in range(1, 10)]
+            + [_near_zero(20, moved) for moved in (
+                {}, {0: 1}, {1: 1}, {0: 1, 1: 1},
+                {5: 3}, {6: 3}, {7: 3}, {5: 3, 6: 3, 7: 3},
+            )],
+            q=10,
+        ),
+        False,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KEY_EDGE_CODES))
+def test_codes_at_the_edge_of_a_64_bit_key(name) -> None:
+    code, keyed = KEY_EDGE_CODES[name]
+    assert verify._WordIndex(verify._reduce(code)).keyed is keyed
+    assert_matches_reference(code, ts=(2, 3))
+    pairs = list(combinations(range(code.M), 2))
+    sizes = Counter(len(captured_indices(code.array, pair)) for pair in pairs)
+    want = verify.CaptureStats(len(pairs), tuple(sorted(sizes.items())), max(sizes))
+    for kind in ENGINE_SETTINGS:
+        with engine_setting(kind):
+            assert verify.capture_stats(code) == want
 
 
 def test_stats_report_the_capture_histogram() -> None:
