@@ -117,18 +117,20 @@ def _code_array(words, n: int, q: int) -> np.ndarray:
         raw = None
     if raw is None or raw.ndim != 2 or raw.shape[1] != n or raw.dtype.kind not in "biu":
         raise ValueError(_first_fault(words, n, q))
-    outside = np.flatnonzero(((raw < 0) | (raw >= q)).any(axis=1))
-    valid = outside[0] if outside.size else len(raw)
+    valid = len(raw)  # rows before the first one holding a symbol outside 0..q-1
+    if raw.min() < 0 or raw.max() >= q:
+        valid = np.flatnonzero(((raw < 0) | (raw >= q)).any(axis=1))[0]
     # another Code's words are already read-only and may be shared
     arr = raw.astype(dtype, copy=not isinstance(words, Words))
-    rows = np.ascontiguousarray(arr[:valid])
-    keys = rows.view(np.dtype((np.void, dtype.itemsize * n))).ravel()
+    # a binary row packs to n/8 bytes: a shorter key sorts faster
+    rows = np.packbits(arr[:valid], axis=1) if q == 2 else np.ascontiguousarray(arr[:valid])
+    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
     first = np.unique(keys, return_index=True)[1]
     if first.size < valid:
         repeat = np.ones(valid, dtype=bool)
         repeat[first] = False
-        raise ValueError(f"duplicate codeword {tuple(rows[np.argmax(repeat)].tolist())}")
-    if outside.size:
+        raise ValueError(f"duplicate codeword {tuple(arr[np.argmax(repeat)].tolist())}")
+    if valid < len(raw):
         raise ValueError(_first_fault(raw[valid : valid + 1], n, q))
     arr.setflags(write=False)
     return arr
@@ -385,8 +387,8 @@ _OTHER_BREAKS = frozenset("\r\v\f\x1c\x1d\x1e")
 _SPACE, _TAB, _NEWLINE, _ZERO = b" \t\n0"
 
 
-def _parse_blocks(text: str) -> Code | None:
-    """Parse a plain code file in numpy blocks, or return None.
+def _parse_blocks(data: bytes) -> Code | None:
+    """Parse a plain code file's bytes in numpy blocks, or return None.
 
     Plain means ASCII, header lines split at "\\n" alone, and a body of
     exactly M lines of n decimal tokens below q, separated by spaces, tabs
@@ -395,13 +397,13 @@ def _parse_blocks(text: str) -> Code | None:
     the same way raises here: a faulty header, and a duplicate codeword,
     both on the header line.
     """
-    if not text.isascii():
+    if not data.isascii():
         return None
     pos = head_line = 0
-    while pos < len(text):
-        cut = text.find("\n", pos)
-        cut = len(text) if cut < 0 else cut
-        line, pos, head_line = text[pos:cut], cut + 1, head_line + 1
+    while pos < len(data):
+        cut = data.find(b"\n", pos)
+        cut = len(data) if cut < 0 else cut
+        line, pos, head_line = data[pos:cut].decode(), cut + 1, head_line + 1
         if not _OTHER_BREAKS.isdisjoint(line):
             return None
         content = line.split("#", 1)[0].strip()
@@ -416,39 +418,47 @@ def _parse_blocks(text: str) -> Code | None:
         return None
     # every symbol takes a digit and all but the last a separator, so a
     # header promising more than the text can hold allocates nothing
-    if 2 * m * n - 1 > len(text) - pos:
+    if 2 * m * n - 1 > len(data) - pos:
         return None
+    chars = np.frombuffer(data, np.uint8)
     out = np.empty(m * n, dtype)
     filled = lines = 0
-    while pos < len(text):
+    while pos < len(data):
         stop = pos + _PARSE_BLOCK
-        if stop >= len(text):
-            cut = len(text)
+        if stop >= len(data):
+            cut = len(data)
         else:  # after the block's last newline, or the first one past it
-            cut = text.rfind("\n", pos, stop) + 1 or text.find("\n", stop) + 1 or len(text)
-        block = np.frombuffer(text[pos:cut].encode(), np.uint8)
-        pos = cut
+            cut = data.rfind(b"\n", pos, stop) + 1 or data.find(b"\n", stop) + 1 or len(data)
+        block, pos = chars[pos:cut], cut
         digits = block - _ZERO  # wraps below "0", so digits < 10 exactly at 0-9
-        is_digit = digits < 10
-        newline = block == _NEWLINE
-        if not (is_digit | newline | (block == _SPACE) | (block == _TAB)).all():
+        # is_digit[1:-1] marks the block's digits; the ends are never digits,
+        # so every token has a rising edge before it and a falling one after
+        is_digit = np.zeros(block.size + 2, bool)
+        np.less(digits, 10, out=is_digit[1:-1])
+        newlines = np.flatnonzero(block == _NEWLINE)
+        separators = np.count_nonzero((block == _SPACE) | (block == _TAB)) + newlines.size
+        digit_count = np.count_nonzero(is_digit)
+        if digit_count + separators != block.size:
             return None
-        edges = np.flatnonzero(np.diff(is_digit, prepend=False, append=False))
-        if not edges.size:
+        starts = np.flatnonzero(is_digit[1:] > is_digit[:-1])
+        if not starts.size:
             continue
-        starts, widths = edges[::2], edges[1::2] - edges[::2]
         # tokens per line; a last line without its newline ends at the block's end
-        ends = np.append(np.flatnonzero(newline), block.size)
-        per_line = np.diff(np.searchsorted(starts, ends), prepend=0)
+        per_line = np.diff(np.searchsorted(starts, np.append(newlines, block.size)), prepend=0)
         per_line = per_line[per_line > 0]
         lines += per_line.size
-        longest = int(widths.max())
-        if lines > m or (per_line != n).any() or longest > 18:
+        if lines > m or (per_line != n).any():
             return None
-        values = digits[starts].astype(np.int64)
-        for k in range(1, longest):  # Horner steps; 18 digits stay below 2**63
-            more = widths > k
-            values[more] = values[more] * 10 + digits[starts[more] + k]
+        values = digits[starts]
+        if digit_count > starts.size:  # some token has more than one digit
+            widths = np.flatnonzero(is_digit[:-1] > is_digit[1:]) - starts
+            longest = int(widths.max())
+            if longest > 18:
+                return None
+            values = values.astype(np.int64)
+            for k in range(1, longest):  # Horner steps; 18 digits stay below 2**63
+                more = widths > k
+                values[more] = values[more] * 10 + digits[starts[more] + k]
         if int(values.max()) >= q:
             return None
         out[filled : filled + values.size] = values
@@ -467,27 +477,42 @@ def parse_code_text(text: str) -> Code:
     Plain files are tokenized in numpy blocks; any other text, and every
     fault, is parsed line by line, which gives the message and the line.
     """
-    code = _parse_blocks(text)
+    code = _parse_blocks(text.encode()) if text.isascii() else None
     return _parse_lines(text) if code is None else code
+
+
+def _name_table(symbols: np.ndarray) -> np.ndarray:
+    """One row per symbol: its decimal name and a space, zero bytes padding the left."""
+    width = len(str(int(symbols.max())))
+    table = np.zeros((symbols.size, width + 1), np.uint8)
+    table[:, width] = _SPACE
+    rest = symbols.astype(np.uint64)
+    for col in range(width - 1, -1, -1):  # the last digit first; 0 is named "0"
+        table[:, col] = np.where((rest > 0) | (col == width - 1), rest % 10 + _ZERO, 0)
+        rest //= 10
+    return table
+
+
+def _text_blocks(code: Code) -> Iterator[np.ndarray]:
+    """The code's text as ASCII byte arrays: the header, then codeword rows per block."""
+    yield np.frombuffer(f"{code.n} {code.M} {code.q}\n".encode(), np.uint8)
+    lo, hi = int(code.array.min()), int(code.array.max())
+    # index the names by symbol value unless the table would outgrow the code
+    by_value = hi < code.array.size
+    symbols = np.arange(hi + 1) if by_value else np.unique(code.array)
+    table = _name_table(symbols)
+    padded = len(str(lo)) < len(str(hi))  # only names narrower than the widest are padded
+    for start in range(0, code.M, _ITER_BLOCK):
+        block = code.array[start : start + _ITER_BLOCK]
+        cells = np.take(table, block if by_value else np.searchsorted(symbols, block), axis=0)
+        cells[:, -1, -1] = _NEWLINE  # (rows, n, name width): the last space of a row
+        flat = cells.ravel()
+        yield flat[flat != 0] if padded else flat
 
 
 def format_code_text(code: Code) -> str:
     """Header "n M q", then one line of space-separated symbols per codeword."""
-    symbols = np.unique(code.array)
-    names = [f"{sym} ".encode() for sym in symbols.tolist()]
-    # one row per symbol present: its name and a space, padded with zero bytes
-    table = np.zeros((len(names), max(map(len, names))), np.uint8)
-    for row, name in zip(table, names):
-        row[: len(name)] = np.frombuffer(name, np.uint8)
-    parts = [f"{code.n} {code.M} {code.q}\n"]
-    for start in range(0, code.M, _ITER_BLOCK):
-        rows = np.searchsorted(symbols, code.array[start : start + _ITER_BLOCK])
-        cells = np.take(table, rows, axis=0)  # (rows, n, name width)
-        last = cells[:, -1]
-        last[last == _SPACE] = _NEWLINE
-        flat = cells.ravel()
-        parts.append(flat[flat != 0].tobytes().decode())
-    return "".join(parts)
+    return b"".join(_text_blocks(code)).decode()
 
 
 def _decode(raw: bytes) -> str:
@@ -502,12 +527,16 @@ def _decode(raw: bytes) -> str:
 
 
 def read_code_file(path: str | Path) -> Code:
-    # the bytes are dropped once decoded, so the text is the only copy parsed
-    return parse_code_text(_decode(Path(path).read_bytes()))
+    """Parse a code file; its bytes are tokenized as they are, without a decoded copy."""
+    raw = Path(path).read_bytes()
+    code = _parse_blocks(raw)
+    return _parse_lines(_decode(raw)) if code is None else code
 
 
 def write_code_file(path: str | Path, code: Code) -> None:
-    Path(path).write_text(format_code_text(code), encoding="utf-8")
+    """Write ``format_code_text(code)`` block by block, never holding the whole text."""
+    with open(path, "wb") as out:
+        out.writelines(_text_blocks(code))
 
 
 def parse_feasible_line(text: str) -> FeasibleSet:

@@ -70,32 +70,37 @@ def _require_binary(code: Code) -> None:
         raise ValueError("tracing requires a binary code")
 
 
-def _require_compatible(code: Code, feasible: FeasibleSet) -> None:
+# a position of R as 0 or 1 where it is pinned, 2 where it is free
+_PIN = {frozenset({0}): 0, frozenset({1}): 1, frozenset({0, 1}): 2}
+_NOT_BINARY = 3
+
+
+def _require_compatible(code: Code, feasible: FeasibleSet) -> np.ndarray:
+    """R's positions as ``_PIN`` values; refuses a length mismatch or a non-binary R."""
     if feasible.n != code.n:
         raise ValueError(
             f"feasible set has {feasible.n} positions, code has length {code.n}"
         )
-    for i, allowed in enumerate(feasible.positions):
-        if not allowed <= {0, 1}:
-            raise ValueError(f"feasible set is not binary at position {i}")
+    pins = np.array([_PIN.get(allowed, _NOT_BINARY) for allowed in feasible.positions])
+    bad = np.flatnonzero(pins == _NOT_BINARY)
+    if bad.size:
+        raise ValueError(f"feasible set is not binary at position {bad[0]}")
+    return pins
 
 
 def _candidates(code: Code, feasible: FeasibleSet, t: int) -> tuple[np.ndarray, int]:
     """Mask of the codewords matching every pinned position of R, and the pin count."""
     _require_binary(code)
-    _require_compatible(code, feasible)
+    pins = _require_compatible(code, feasible)
     if t < 1:
         raise ValueError("t must be at least 1")
-    pinned = [j for j, allowed in enumerate(feasible.positions) if len(allowed) == 1]
-    lines = np.zeros((2, code.n), dtype=np.uint8)
-    lines[0, pinned] = 1
-    lines[1, pinned] = [min(feasible.positions[j]) for j in pinned]
-    limbs = pack_bits(lines)
+    pinned = pins < 2
+    limbs = pack_bits(np.stack([pinned, pins == 1]))
     mask, bits = limbs[:, :1], limbs[:, 1:]
     keep = ((code.packed & mask) == bits).all(axis=0)
     if not keep.any():
         raise ValueError("infeasible R: no codeword matches every pinned coordinate")
-    return keep, len(pinned)
+    return keep, int(np.count_nonzero(pinned))
 
 
 def coalition_feasible_set(code: Code, coalition: Iterable[int]) -> FeasibleSet:

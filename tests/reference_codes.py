@@ -1,19 +1,29 @@
-"""Reference code-file text format: the per-token parser and per-row
-formatter the numpy block paths replaced.
+"""Reference code-file text format and codeword validation: the per-token
+parser, the per-row formatter and the whole-array validator that the
+numpy block paths and the cheaper checks replaced.
 
 Each body is the library's earlier implementation, kept word for word:
-``str.splitlines`` over the whole text and one ``int`` call per token, and
-one ``str.join`` per codeword.  The equivalence tests require
+``str.splitlines`` over the whole text and one ``int`` call per token;
+one ``str.join`` per codeword; a range mask over every symbol and one
+unpacked row per duplicate key.  The equivalence tests require
 ``sepcode.codes.parse_code_text`` to return an equal Code or raise the same
-CodeFormatError message on the same line, and ``format_code_text`` to
-return the same text.
+CodeFormatError message on the same line, ``format_code_text`` to return
+the same text, and ``_code_array`` to return the same array or raise the
+same message.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from sepcode.codes import _ITER_BLOCK, Code, CodeFormatError, _symbol_dtype
+from sepcode.codes import (
+    _ITER_BLOCK,
+    Code,
+    CodeFormatError,
+    Words,
+    _first_fault,
+    _symbol_dtype,
+)
 
 
 def parse_code_text(text: str) -> Code:
@@ -71,3 +81,34 @@ def format_code_text(code: Code) -> str:
         rows = code.array[start : start + _ITER_BLOCK].tolist()
         lines.extend(" ".join(map(names.__getitem__, w)) for w in rows)
     return "\n".join(lines) + "\n"
+
+
+def code_array(words, n: int, q: int) -> np.ndarray:
+    """The words as a validated, read-only (M, n) array of ``_symbol_dtype(q)``.
+
+    Faults are reported for the first faulty codeword in order: wrong
+    length, then a symbol outside the alphabet, then a repeat of an
+    earlier codeword.
+    """
+    dtype = _symbol_dtype(q)
+    try:
+        raw = np.asarray(words)
+    except (ValueError, TypeError, OverflowError):
+        raw = None
+    if raw is None or raw.ndim != 2 or raw.shape[1] != n or raw.dtype.kind not in "biu":
+        raise ValueError(_first_fault(words, n, q))
+    outside = np.flatnonzero(((raw < 0) | (raw >= q)).any(axis=1))
+    valid = outside[0] if outside.size else len(raw)
+    # another Code's words are already read-only and may be shared
+    arr = raw.astype(dtype, copy=not isinstance(words, Words))
+    rows = np.ascontiguousarray(arr[:valid])
+    keys = rows.view(np.dtype((np.void, dtype.itemsize * n))).ravel()
+    first = np.unique(keys, return_index=True)[1]
+    if first.size < valid:
+        repeat = np.ones(valid, dtype=bool)
+        repeat[first] = False
+        raise ValueError(f"duplicate codeword {tuple(rows[np.argmax(repeat)].tolist())}")
+    if outside.size:
+        raise ValueError(_first_fault(raw[valid : valid + 1], n, q))
+    arr.setflags(write=False)
+    return arr

@@ -6,13 +6,17 @@ reference's Code, or the reference's CodeFormatError message on the same
 line, for texts drawn from a grammar of valid and faulty files and for
 arbitrary text.  Block sizes of a few characters cut the text mid-file.
 ``format_code_text`` must reproduce the reference byte for byte, and its
-output must parse back on the block path alone.
+output must parse back on the block path alone.  Code validation must
+return the reference validator's array or raise its message.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
+from itertools import product
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +26,8 @@ from sepcode import codes
 from sepcode.codes import Code, CodeFormatError, format_code_text, parse_code_text
 from sepcode.construct import build_length3, one_hot_compose, optimal_s
 
-BLOCKS = st.sampled_from([1, 2, 3, 5, 8, 13, codes._PARSE_BLOCK])
+BLOCK_SIZES = [1, 2, 3, 5, 8, 13, codes._PARSE_BLOCK]
+BLOCKS = st.sampled_from(BLOCK_SIZES)
 
 
 def outcome(parse, text: str):
@@ -164,6 +169,31 @@ def test_plain_files_parse_on_the_block_path(text: str) -> None:
             assert parse_code_text(text) == expected
 
 
+@st.composite
+def one_digit_texts_with_a_long_token(draw) -> str:
+    """One-digit tokens, but for one longer token first or last on its line."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    q = draw(st.sampled_from([2, 10, 11, 100, 10**12, 2**63]))
+    rows = [[str(draw(st.integers(0, 9))) for _ in range(n)] for _ in range(m)]
+    row, at = draw(st.integers(0, m - 1)), draw(st.sampled_from([0, -1]))
+    # "07" is one symbol below 10 written in two digits; 18 digits is the longest kept
+    rows[row][at] = draw(st.sampled_from(["10", "07", "99", "0" * 17 + "1", str(10**17)]))
+    space = draw(st.sampled_from([" ", "\t", "  "]))
+    return f"{n} {m} {q}\n" + "\n".join(map(space.join, rows)) + draw(st.sampled_from(["\n", ""]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=one_digit_texts_with_a_long_token())
+def test_a_long_token_among_one_digit_tokens_parses_like_reference(text: str) -> None:
+    # with blocks of a few characters every line is a block of its own, so
+    # the long token is the first or the last token of its block
+    expected = outcome(ref.parse_code_text, text)
+    for block in BLOCK_SIZES:
+        only = block_path_only() if expected[0] == "code" else nullcontext()
+        with mock.patch.object(codes, "_PARSE_BLOCK", block), only:
+            assert outcome(parse_code_text, text) == expected
+
+
 def test_duplicates_on_the_block_path_are_reported_at_the_header() -> None:
     text = "# dup\n2 2 2\n0 1\n0 1\n"
     with block_path_only(), pytest.raises(CodeFormatError, match="duplicate") as err:
@@ -193,6 +223,45 @@ def test_format_equals_reference_and_round_trips(code: Code, rows: int, block: i
         assert parse_code_text(text) == code
 
 
+@pytest.mark.parametrize(
+    "symbols",
+    [
+        (0, 9),  # names of one width
+        (9, 10),  # two widths
+        (0, 10**12),
+        (3, 10**17 + 1),  # sparse: the largest symbol is far above the code's size
+        (0, 2**63 - 1),  # 19 digits, parsed back by the line parser
+    ],
+    ids=lambda symbols: f"{symbols[0]},{symbols[1]}",
+)
+@pytest.mark.parametrize("n", [2, 6])
+def test_format_equals_reference_on_named_alphabets(symbols, n: int) -> None:
+    # at n = 6 the code's 384 symbols outnumber the values 0..10, so (0, 9)
+    # and (9, 10) are named by value; at n = 2 (8 symbols), and for the wide
+    # alphabets, the names are ranked
+    code = Code(n=n, M=2**n, q=symbols[-1] + 1, words=list(product(symbols, repeat=n)))
+    for rows in (1, 3, codes._ITER_BLOCK):
+        with mock.patch.object(codes, "_ITER_BLOCK", rows):
+            text = format_code_text(code)
+        assert text == ref.format_code_text(code)
+    only = block_path_only() if symbols[-1] < 10**18 else nullcontext()
+    for block in BLOCK_SIZES:
+        with mock.patch.object(codes, "_PARSE_BLOCK", block), only:
+            assert parse_code_text(text) == code
+
+
+def test_composed_q100_code_round_trips_at_full_scale(tmp_path) -> None:
+    code = one_hot_compose(build_length3(100, optimal_s(100).s))
+    text = format_code_text(code)
+    assert text == ref.format_code_text(code)
+    path = tmp_path / "q100.code"
+    codes.write_code_file(path, code)
+    assert path.read_bytes() == text.encode()
+    with block_path_only():
+        assert parse_code_text(text) == code
+        assert codes.read_code_file(path) == code
+
+
 def test_composed_code_round_trips_in_many_blocks() -> None:
     q_ary = build_length3(20, optimal_s(20).s)
     for code in (q_ary, one_hot_compose(q_ary)):
@@ -200,3 +269,43 @@ def test_composed_code_round_trips_in_many_blocks() -> None:
         assert text == ref.format_code_text(code)
         with mock.patch.object(codes, "_PARSE_BLOCK", 1000), block_path_only():
             assert parse_code_text(text) == code
+
+
+# ---------------------------------------------------------------- validation
+
+
+def validated(check, words, n: int, q: int):
+    """The validated array in full, or the ValueError's message."""
+    try:
+        arr = check(words, n, q)
+    except ValueError as exc:
+        return "error", str(exc)
+    return "array", arr.dtype, arr.tolist(), arr.flags.writeable
+
+
+@settings(max_examples=300, deadline=None)
+@given(q=st.sampled_from([2, 3, 256, 2**40]), n=st.integers(1, 17), data=st.data())
+def test_validation_equals_reference(q: int, n: int, data) -> None:
+    # n up to 17 packs a binary row into up to three bytes
+    symbol = st.sampled_from([0, 1, 0, 1, q - 1, -1, q])
+    rows = data.draw(st.lists(st.lists(symbol, min_size=n, max_size=n), min_size=1, max_size=8))
+    words = np.array(rows, dtype=np.int64)
+    assert validated(codes._code_array, words, n, q) == validated(ref.code_array, words, n, q)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([[0, 1], [1, 1], [0, 1], [-1, 0]], "duplicate codeword (0, 1)"),
+        ([[0, 1], [1, 1], [0, 1], [1, 2]], "duplicate codeword (0, 1)"),
+        ([[0, 1], [-1, 0], [0, 1]], "symbol -1 outside alphabet 0..1"),
+        ([[0, 1], [1, 0], [2, 0], [0, 1]], "symbol 2 outside alphabet 0..1"),
+    ],
+)
+def test_the_first_faulty_codeword_is_reported(rows, message: str) -> None:
+    words = np.array(rows, dtype=np.int64)
+    for check in (codes._code_array, ref.code_array):
+        assert validated(check, words, 2, 2) == ("error", message)
+    with pytest.raises(ValueError) as err:
+        Code(n=2, M=len(rows), q=2, words=words)
+    assert str(err.value) == message

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import ZERO_PLUS_UNITS, random_code
-from sepcode.codes import Code, parse_feasible_line
+from sepcode.codes import Code, FeasibleSet, parse_feasible_line
 from sepcode.construct import build_length3, one_hot_compose
 from sepcode.trace import coalition_feasible_set, lacc_identify, ssc_trace
 from sepcode.verify import is_fpc, is_ssc
@@ -186,6 +186,16 @@ def test_tracers_validate_inputs() -> None:
     ternary = Code.from_words([(0, 1), (2, 0)], q=3)
     with pytest.raises(ValueError, match="binary"):
         ssc_trace(ternary, fs("00"), 2)
+
+
+@pytest.mark.parametrize("tracer", [ssc_trace, lacc_identify])
+def test_a_non_binary_feasible_set_is_refused_at_its_first_bad_position(tracer) -> None:
+    code = one_hot_compose(build_length3(4, 1))
+    positions = list(coalition_feasible_set(code, (0, 5)).positions)
+    positions[3], positions[7] = frozenset({2}), frozenset({0, 3})
+    with pytest.raises(ValueError) as err:
+        tracer(code, FeasibleSet(tuple(positions)), 2)
+    assert str(err.value) == "feasible set is not binary at position 3"
 
 
 def test_operation_counter_formula() -> None:
