@@ -539,34 +539,37 @@ def write_code_file(path: str | Path, code: Code) -> None:
         out.writelines(_text_blocks(code))
 
 
+# The binary feasible-set codec.  A position of a binary R is pinned to 0 or
+# 1, or free (pin 2); BINARY_SETS[pin] is its symbol set and a feasible-set
+# line writes it as BINARY_TOKENS[pin].
+BINARY_SETS = (frozenset({0}), frozenset({1}), frozenset({0, 1}))
+BINARY_TOKENS = "01*"
+_PIN_OF_SET = {allowed: pin for pin, allowed in enumerate(BINARY_SETS)}
+_SET_OF_TOKEN = dict(zip(BINARY_TOKENS, BINARY_SETS))
+
+
+def binary_pins(feasible: FeasibleSet) -> np.ndarray:
+    """R's positions as pins; refuses R at its first position that is not binary."""
+    try:
+        return np.array([_PIN_OF_SET[allowed] for allowed in feasible.positions])
+    except KeyError:
+        first = next(
+            i for i, allowed in enumerate(feasible.positions) if allowed not in _PIN_OF_SET
+        )
+        raise ValueError(f"feasible set is not binary at position {first}") from None
+
+
 def parse_feasible_line(text: str) -> FeasibleSet:
     """Parse a binary feasible-set line of tokens 0, 1 or * ('*' means {0,1})."""
     stripped = text.strip()
     tokens = stripped.split() if any(ch.isspace() for ch in stripped) else list(stripped)
     if not tokens:
         raise ValueError("empty feasible-set line")
-    sets: list[frozenset[int]] = []
     for tok in tokens:
-        if tok == "0":
-            sets.append(frozenset({0}))
-        elif tok == "1":
-            sets.append(frozenset({1}))
-        elif tok == "*":
-            sets.append(frozenset({0, 1}))
-        else:
+        if tok not in _SET_OF_TOKEN:
             raise ValueError(f"invalid feasible-set token {tok!r}; expected 0, 1 or *")
-    return FeasibleSet(tuple(sets))
+    return FeasibleSet(tuple(_SET_OF_TOKEN[tok] for tok in tokens))
 
 
 def format_feasible_line(feasible: FeasibleSet) -> str:
-    out = []
-    for i, allowed in enumerate(feasible.positions):
-        if allowed == {0}:
-            out.append("0")
-        elif allowed == {1}:
-            out.append("1")
-        elif allowed == {0, 1}:
-            out.append("*")
-        else:
-            raise ValueError(f"position {i} is not binary")
-    return "".join(out)
+    return "".join(BINARY_TOKENS[pin] for pin in binary_pins(feasible).tolist())

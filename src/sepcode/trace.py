@@ -36,7 +36,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .codes import Code, FeasibleSet, coalition_indices, descendant, pack_bits
+from .codes import Code, FeasibleSet, binary_pins, coalition_indices, descendant, pack_bits
 
 
 @dataclass(frozen=True)
@@ -70,22 +70,13 @@ def _require_binary(code: Code) -> None:
         raise ValueError("tracing requires a binary code")
 
 
-# a position of R as 0 or 1 where it is pinned, 2 where it is free
-_PIN = {frozenset({0}): 0, frozenset({1}): 1, frozenset({0, 1}): 2}
-_NOT_BINARY = 3
-
-
 def _require_compatible(code: Code, feasible: FeasibleSet) -> np.ndarray:
-    """R's positions as ``_PIN`` values; refuses a length mismatch or a non-binary R."""
+    """R's positions as ``binary_pins``; refuses a length mismatch or a non-binary R."""
     if feasible.n != code.n:
         raise ValueError(
             f"feasible set has {feasible.n} positions, code has length {code.n}"
         )
-    pins = np.array([_PIN.get(allowed, _NOT_BINARY) for allowed in feasible.positions])
-    bad = np.flatnonzero(pins == _NOT_BINARY)
-    if bad.size:
-        raise ValueError(f"feasible set is not binary at position {bad[0]}")
-    return pins
+    return binary_pins(feasible)
 
 
 def _candidates(code: Code, feasible: FeasibleSet, t: int) -> tuple[np.ndarray, int]:

@@ -377,6 +377,9 @@ def test_feasible_line_round_trip_contiguous_and_spaced() -> None:
 def test_feasible_line_rejects_bad_tokens() -> None:
     with pytest.raises(ValueError, match="token"):
         parse_feasible_line("01x")
+    for line in ("0 01 *", "1* 0"):
+        with pytest.raises(ValueError, match="invalid feasible-set token"):
+            parse_feasible_line(line)
     with pytest.raises(ValueError, match="empty"):
         parse_feasible_line("   ")
 

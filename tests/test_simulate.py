@@ -164,6 +164,9 @@ def test_threshold_bands() -> None:
 def test_threshold_tolerates_rounding_at_the_edges() -> None:
     stats = DetectionStatistics(values=np.array([1.0 - 1e-9, 1e-9, 0.25]))
     assert threshold(stats, 1e-6) == fs({1}, {0}, {0, 1})
+    eps = 1e-6
+    stats = DetectionStatistics(values=np.array([1 - eps, eps, np.nan, np.inf, -np.inf]))
+    assert threshold(stats, eps) == fs({1}, {0}, {0, 1}, {1}, {0})
 
 
 def test_threshold_rejects_out_of_range_eps() -> None:
