@@ -48,7 +48,8 @@ class Words(Sequence):
 
     Indexing, iteration and equality with a tuple of tuples behave as for
     the tuple of words, but no row becomes a tuple before it is read.  A
-    slice is again a view; ``np.asarray`` returns the array itself.
+    slice is again a view; ``np.asarray`` returns the array itself unless it
+    must cast it.
     """
 
     __slots__ = ("_rows",)
@@ -76,9 +77,11 @@ class Words(Sequence):
         return NotImplemented
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        if dtype is None and not copy:
-            return self._rows
-        return self._rows.astype(self._rows.dtype if dtype is None else dtype)
+        if dtype is None or np.dtype(dtype) == self._rows.dtype:
+            return self._rows.copy() if copy else self._rows
+        if copy is False:
+            raise ValueError(f"Words of {self._rows.dtype} need a copy to cast to {dtype}")
+        return self._rows.astype(dtype)
 
     def __repr__(self) -> str:
         return f"Words({len(self._rows)} x {self._rows.shape[1]})"
@@ -387,41 +390,42 @@ _OTHER_BREAKS = frozenset("\r\v\f\x1c\x1d\x1e")
 _SPACE, _TAB, _NEWLINE, _ZERO = b" \t\n0"
 
 
-def _parse_blocks(data: bytes) -> Code | None:
-    """Parse a plain code file's bytes in numpy blocks, or return None.
+def _row_base(n: int) -> np.ndarray:
+    """The little-endian uint16 cells of the row "0 0 ... 0\\n" of n symbols.
 
-    Plain means ASCII, header lines split at "\\n" alone, and a body of
-    exactly M lines of n decimal tokens below q, separated by spaces, tabs
-    and blank lines.  Anything else returns None, so that ``_parse_lines``
-    gives the result or the error.  Only what ``_parse_lines`` would raise
-    the same way raises here: a faulty header, and a duplicate codeword,
-    both on the header line.
+    A row "d d ... d\\n" of one-digit symbols reads as these cells plus its
+    symbols: "d " is 0x2030 + d, and the last cell "d\\n" is 0x0A30 + d.
     """
-    if not data.isascii():
-        return None
-    pos = head_line = 0
-    while pos < len(data):
-        cut = data.find(b"\n", pos)
-        cut = len(data) if cut < 0 else cut
-        line, pos, head_line = data[pos:cut].decode(), cut + 1, head_line + 1
-        if not _OTHER_BREAKS.isdisjoint(line):
+    base = np.full(n, _SPACE << 8 | _ZERO, "<u2")
+    base[-1] = _NEWLINE << 8 | _ZERO
+    return base
+
+
+def _fixed_rows(data: bytes, pos: int, n: int, m: int, q: int) -> np.ndarray | None:
+    """The M rows of ``data[pos:]`` as one-digit symbols, or None unless the
+    body is exactly M rows "d d ... d\\n" of symbols below q.
+
+    A cell minus its base is its symbol; any other byte in the cell gives
+    10 or more, wrapped or not, so one bound checks every byte.
+    """
+    cells = np.frombuffer(data, "<u2", count=m * n, offset=pos).reshape(m, n)
+    base, bound = _row_base(n), min(q, 10)
+    out = np.empty((m, n), _symbol_dtype(q))
+    step = max(1, _PARSE_BLOCK // (2 * n))
+    for start in range(0, m, step):
+        symbols = cells[start : start + step] - base
+        if symbols.max() >= bound:
             return None
-        content = line.split("#", 1)[0].strip()
-        if content:
-            break
-    else:
-        return None
-    n, m, q = _header(content, head_line)
-    try:
-        dtype = _symbol_dtype(q)
-    except ValueError:
-        return None
-    # every symbol takes a digit and all but the last a separator, so a
-    # header promising more than the text can hold allocates nothing
-    if 2 * m * n - 1 > len(data) - pos:
-        return None
+        out[start : start + step] = symbols
+    return out
+
+
+def _tokenize(data: bytes, pos: int, n: int, m: int, q: int) -> np.ndarray | None:
+    """The M rows of ``data[pos:]`` tokenized in blocks, or None unless the
+    body is M lines of n decimal tokens below q, separated by spaces, tabs
+    and blank lines."""
     chars = np.frombuffer(data, np.uint8)
-    out = np.empty(m * n, dtype)
+    out = np.empty(m * n, _symbol_dtype(q))
     filled = lines = 0
     while pos < len(data):
         stop = pos + _PARSE_BLOCK
@@ -463,10 +467,50 @@ def _parse_blocks(data: bytes) -> Code | None:
             return None
         out[filled : filled + values.size] = values
         filled += values.size
-    if lines != m:
+    return out.reshape(m, n) if lines == m else None
+
+
+def _parse_blocks(data: bytes) -> Code | None:
+    """Parse a plain code file's bytes with numpy, or return None.
+
+    Plain means ASCII, header lines split at "\\n" alone, and a body of
+    exactly M lines of n decimal tokens below q, separated by spaces, tabs
+    and blank lines.  A body of exactly M rows "d d ... d\\n" is read as
+    fixed-width rows; any other plain body is tokenized in blocks.  Anything
+    else returns None, so that ``_parse_lines`` gives the result or the
+    error.  Only what ``_parse_lines`` would raise the same way raises here:
+    a faulty header, and a duplicate codeword, both on the header line.
+    """
+    if not data.isascii():
+        return None
+    pos = head_line = 0
+    while pos < len(data):
+        cut = data.find(b"\n", pos)
+        cut = len(data) if cut < 0 else cut
+        line, pos, head_line = data[pos:cut].decode(), cut + 1, head_line + 1
+        if not _OTHER_BREAKS.isdisjoint(line):
+            return None
+        content = line.split("#", 1)[0].strip()
+        if content:
+            break
+    else:
+        return None
+    n, m, q = _header(content, head_line)
+    try:
+        _symbol_dtype(q)  # refuses q above 2**63, which _parse_lines reports
+    except ValueError:
+        return None
+    # every symbol takes a digit and all but the last a separator, so a
+    # header promising more than the text can hold allocates nothing
+    if 2 * m * n - 1 > len(data) - pos:
+        return None
+    words = _fixed_rows(data, pos, n, m, q) if len(data) - pos == 2 * m * n else None
+    if words is None:
+        words = _tokenize(data, pos, n, m, q)
+    if words is None:
         return None
     try:
-        return Code(n=n, M=m, q=q, words=out.reshape(m, n))
+        return Code(n=n, M=m, q=q, words=words)
     except ValueError as exc:
         raise CodeFormatError(str(exc), head_line) from None
 
@@ -497,6 +541,11 @@ def _text_blocks(code: Code) -> Iterator[np.ndarray]:
     """The code's text as ASCII byte arrays: the header, then codeword rows per block."""
     yield np.frombuffer(f"{code.n} {code.M} {code.q}\n".encode(), np.uint8)
     lo, hi = int(code.array.min()), int(code.array.max())
+    if hi < 10:  # fixed-width rows "d d ... d\n"
+        base = _row_base(code.n)
+        for start in range(0, code.M, _ITER_BLOCK):
+            yield (code.array[start : start + _ITER_BLOCK] + base).astype("<u2").view(np.uint8)
+        return
     # index the names by symbol value unless the table would outgrow the code
     by_value = hi < code.array.size
     symbols = np.arange(hi + 1) if by_value else np.unique(code.array)

@@ -270,6 +270,18 @@ def test_words_view_reads_like_a_tuple_of_words() -> None:
         view[4]
 
 
+def test_words_convert_to_arrays_without_a_needless_copy() -> None:
+    code = Code.from_words([(0, 1, 2), (2, 1, 0)], q=3)
+    for dtype in (None, np.uint8, "u1"):
+        assert np.asarray(code.words, dtype=dtype) is code.array
+        assert np.array(code.words, dtype=dtype, copy=False) is code.array
+        copied = np.array(code.words, dtype=dtype, copy=True)
+        assert not np.shares_memory(copied, code.array) and copied.tolist() == code.array.tolist()
+    assert np.asarray(code.words, dtype=np.int64).tolist() == code.array.tolist()
+    with pytest.raises(ValueError, match="copy"):
+        np.asarray(code.words, dtype=np.int64, copy=False)
+
+
 def test_codes_from_words_array_and_view_compare_equal() -> None:
     source = np.array([[0, 3], [2, 1], [1, 1]], dtype=np.uint8)
     by_words = Code.from_words(source.tolist(), q=4)

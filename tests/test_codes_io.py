@@ -5,20 +5,22 @@ other text to the line parser; these tests require it to give the
 reference's Code, or the reference's CodeFormatError message on the same
 line, for texts drawn from a grammar of valid and faulty files and for
 arbitrary text.  Block sizes of a few characters cut the text mid-file.
-``format_code_text`` must reproduce the reference byte for byte, and its
-output must parse back on the block path alone.  Code validation must
-return the reference validator's array or raise its message.
+A body of one-digit rows "d d ... d\\n" must parse on the fixed-width row
+path alone, and every one-byte change to such a body must still parse like
+the reference.  ``format_code_text`` must reproduce the reference byte for
+byte, and its output must parse back on the block path alone.  Code
+validation must return the reference validator's array or raise its message.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from itertools import product
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_codes as ref
@@ -49,6 +51,14 @@ def block_path_only():
     return mock.patch.object(
         codes, "_parse_lines", side_effect=AssertionError("the block path declined")
     )
+
+
+@contextmanager
+def row_path_only():
+    """Patch the tokenizer and the line parser out, so only fixed-width rows can parse."""
+    declined = AssertionError("the row path declined")
+    with block_path_only(), mock.patch.object(codes, "_tokenize", side_effect=declined):
+        yield
 
 
 # ------------------------------------------------------------------- grammar
@@ -199,6 +209,64 @@ def test_duplicates_on_the_block_path_are_reported_at_the_header() -> None:
     with block_path_only(), pytest.raises(CodeFormatError, match="duplicate") as err:
         parse_code_text(text)
     assert err.value.line == 2
+
+
+# ------------------------------------------------------ fixed-width one-digit rows
+
+
+@st.composite
+def one_digit_codes(draw) -> Code:
+    """Codes whose symbols are all below 10, including q = 12 codes that use only 0-9."""
+    q = draw(st.sampled_from([2, 5, 10, 12]))
+    n = draw(st.integers(1, 5))
+    symbol = st.integers(0, min(q, 10) - 1)
+    words = draw(st.lists(st.tuples(*[symbol] * n), min_size=1, max_size=12, unique=True))
+    return Code(n=n, M=len(words), q=q, words=words)
+
+
+@settings(max_examples=200, deadline=None)
+@given(code=one_digit_codes(), comment=st.sampled_from(["", "# a code\n"]))
+@example(code=Code(n=1, M=2, q=2, words=[(1,), (0,)]), comment="")  # every cell is "d\n"
+@example(code=Code(n=3, M=1000, q=12, words=list(product(range(10), repeat=3))), comment="")
+def test_one_digit_codes_are_written_and_read_as_fixed_width_rows(code: Code, comment: str):
+    text = ref.format_code_text(code)
+    for rows in range(1, min(code.M, 40) + 1):  # blocks of 1 to 40 rows
+        with mock.patch.object(codes, "_ITER_BLOCK", rows):
+            assert format_code_text(code) == text
+    # a comment line before the header moves the rows to the other byte parity
+    for block in BLOCK_SIZES:
+        with mock.patch.object(codes, "_PARSE_BLOCK", block), row_path_only():
+            assert parse_code_text(comment + text) == code
+
+
+@pytest.mark.parametrize("q", [2, 12, 2**40])
+@pytest.mark.parametrize("comment", ["", "# a code\n"])
+@pytest.mark.parametrize("pad", ["", " "])  # headers of both lengths mod 2
+def test_every_one_byte_change_to_fixed_width_rows_parses_like_reference(q, comment, pad):
+    # a bound of q in place of min(q, 10) would read ":" as 10 at q = 12,
+    # and "a" after a digit as 0x4100 at q = 2**40
+    code = Code(n=3, M=3, q=q, words=[(0, 0, 1), (0, 1, 0), (0, 1, 1)])
+    head = f"3 3 {q}\n"
+    body = format_code_text(code)[len(head) :]
+    for at, byte in product(range(len(body)), " \t\r\n\v0129:/#a"):
+        text = comment + head.replace("\n", pad + "\n") + body[:at] + byte + body[at + 1 :]
+        for block in (1, codes._PARSE_BLOCK):
+            assert_parses_like_reference(text, block)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "2 2 2\n0 1\n1 0",  # no final newline: one byte short of fixed-width rows
+        "2 2 2\n0  1\n1 0",  # the size of fixed-width rows, but a double space
+        "2 2 2\n0\t1\n1 0\n",  # the size of fixed-width rows, but a tab
+    ],
+)
+def test_other_plain_bodies_fall_back_to_the_tokenizer(text: str) -> None:
+    with mock.patch.object(codes, "_tokenize", wraps=codes._tokenize) as tokenize:
+        with block_path_only():
+            assert parse_code_text(text) == ref.parse_code_text(text)
+    tokenize.assert_called_once()
 
 
 # ------------------------------------------------------- format and round trip
