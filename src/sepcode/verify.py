@@ -11,47 +11,40 @@ Three nested properties are decided for a coalition bound t:
   coalition itself, so the descendant pins the coalition exactly.
 
 Frameproof implies strongly separable implies separable.  A failing verdict
-carries a witness that re-verifies against the raw definition; witnesses are
-chosen deterministically (lexicographically smallest failing coalition by
-member indices).
+carries a witness, the lexicographically smallest failing coalition by
+member indices, re-checked against the raw definition before it is returned.
 
 For t = 2 every decider reduces to the captured set D = desc({i, j}) ∩ C of
-each pair, and one engine counts them all in numpy batches.  It walks the
-pairs i < j in lexicographic order, in blocks sized by element count.  A
-pair at distance d has 2^d mixed words (word i with any of the d differing
-positions switched to word j's symbol); the engine looks the 2^d - 2 proper
-ones up in an index of the code under an additive per-position key, so a
-mixed word's key is word i's key plus one delta per switched position.
-The key is the exact mixed-radix index of the word over the positions'
-alphabets: it indexes a dense table when their product is small and is
-looked up with ``searchsorted`` otherwise.  A pair with 2^d > M, and every
-pair of a code whose alphabet product passes 2^64 (the key no longer fits
-64 bits), is scanned against the whole code instead.  The cost is
-about pairs x min(2^d, M) lookups, where the per-coalition path pays one
-(M x |S| x n) broadcast per coalition.  Only the few pairs a decider must
-inspect (a count above 2, or above 3 where that is the least that can
-fail) get their captured set from ``captured_indices``.  Coalitions of 3
-or more (t >= 3) take every coalition's captured set that way, through
-the same scan, refused up front (like the oracle's) above a work limit.
-Verdicts from the engine carry ``CaptureStats``: pairs scanned and the
-captured-set size histogram.
+each pair.  The scan walks the code's *profile*: the lexicographic ranks of
+the pairs capturing 3 or more codewords, in order, with their counts.  The
+walk tallies the histogram of captured-set sizes (a pair it does not list
+captures 2), hands the pairs a decider must inspect (a count above 2, or
+above 3 where that is the least that can fail) to ``captured_indices`` and
+stops at the first witness.  A join makes the profile when the reduced code
+(below) has 2^n <= M, as every size-table row, its composition and every
+length-2 code do.  Codeword c lies in desc({i, j}), c not i or j, iff i
+agrees with c on exactly some non-empty proper position subset A and j
+agrees with c off A.  So one sort groups the codewords by their projection
+onto every such A, and each c joins its group on A with its group on the
+complement, keeping i < j: each (pair, third word) comes out once, in
+Σ_c Σ_A |G_A(c)| |G_Ā(c)| steps, about M²/q at length 3.  Where that
+passes one step per pair (a dense code), or 2^n > M, the pair engine
+walks every pair i < j instead, looking its 2^d mixed words (d the pair's
+distance) up by their exact mixed-radix index, or scanning the code when
+2^d > M or the index passes 64 bits: about M²/2 x min(2^d, M) lookups.
+Coalitions of 3 or more (t >= 3) take every coalition's captured set from
+``captured_indices``, refused up front (like the oracle's) above a work
+limit.  Verdicts from the profile carry ``CaptureStats``.
 
-``is_ssc`` decides the property through a delete-one test on D: the
-coalition is pinned iff no single member x of C0 can be dropped from D
-without shrinking the descendant, so among pairs only those capturing at
-least 4 codewords need the test.  The literal, exponential form of the
-definition is kept as ``is_ssc_naive`` and the two are compared across
-randomized inputs in the test suite.  ``is_sc`` looks, at every t, for an
-earlier subset with the coalition's descendant among the subsets of its
-captured set; for t = 2 only pairs capturing at least 4 codewords can
-collide.  Both deciders share one equal-descendant test on captured sets.
-For length-3 codes two specialized criteria are provided: a
-shortened-code overlap test equivalent to 2-separability, and a
-forbidden-pattern scan (distance-3 pairs with |D| >= 4 only, each pattern
-read from the words D adds to the pair) that decides strong
-2-separability on codes already known to be 2-separable.
-``desc_cap_bound`` computes the capture bound whose value <= 3 is a
-sufficient condition for strong 2-separability.
+``is_ssc`` applies a delete-one test to D, ``is_sc`` looks for an earlier
+subset with the coalition's descendant inside D, and the two share one
+equal-descendant test; at t = 2 only pairs capturing 4 or more can fail
+either.  The literal, exponential definition is kept as ``is_ssc_naive``,
+the oracle the tests compare against.  For length-3 codes,
+``shortened_sc_check`` decides 2-separability by shortened-code overlaps,
+``forbidden_type_scan`` decides strong 2-separability on 2-separable codes
+by four forbidden captured-set patterns, and ``desc_cap_bound`` computes
+the capture bound, whose value <= 3 suffices for strong 2-separability.
 
 Every scan reduces the code first, keeping every captured set and codeword
 index.  A constant column never decides membership in a descendant, so it
@@ -61,10 +54,9 @@ codeword lies in desc(S) on the run iff some member of S holds its slot,
 because its 1 must come from someone.  So a one-hot composition verifies
 at the cost of its q-ary source, for every t.  Each position's symbols are
 then relabelled by rank, so no alphabet exceeds M and no scan pays for
-the declared q.  The engine, the captured sets and the work limit run on
-the reduced code; the tests on each coalition read the code as given,
-which has the same captured sets.  So verdicts, witnesses and stats are
-those of the code as given.  ``shortened_sc_check`` and the oracle
+the declared q.  The profile, the captured sets and the work limit run on
+the reduced code, whose captured sets are those of the code as given; the
+tests on each coalition, ``shortened_sc_check`` and the oracle
 ``is_ssc_naive`` read the code as given.
 """
 
@@ -77,17 +69,20 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .codes import Code, Word, captured_indices, descendant, shortened
+from .codes import Code, Word, captured_indices, descendant, hamming, shortened
 
 # symbol comparisons above which a per-coalition scan is refused: about half a
 # minute of a holding t = 3 is_ssc (4e7 a second on a 2-vCPU Intel Xeon)
 _WORK_LIMIT = 10**9
-# elements per numpy temporary in the capture engine (256 kB at 8 bytes);
+# elements per numpy temporary in either t = 2 backend (256 kB at 8 bytes);
 # a tiny code then runs as one batch and a large one in bounded memory
 _BLOCK_ELEMS = 1 << 15
 # largest product of alphabet sizes indexed by a dense table (int32, 8 MB)
 # instead of sorted keys
 _DENSE_TABLE_MAX = 1 << 21
+# triples per pair of the code the join may expand; past that (a dense code)
+# the pair engine's pairs cost less, and the join's kept triples could fill memory
+_JOIN_TRIPLES_PER_PAIR = 1
 
 
 @dataclass(frozen=True)
@@ -144,7 +139,7 @@ Witness = Union[
 
 @dataclass(frozen=True)
 class CaptureStats:
-    """Counters behind a verdict of the pair engine.
+    """Counters behind a t = 2 verdict, read from the capture profile.
 
     ``pairs`` counts the pairs tallied: every pair, or, for a verdict that
     stops at its first failing pair, the pairs up to and including it in
@@ -162,7 +157,7 @@ class CaptureStats:
 class Verdict:
     """Outcome of a property check; a witness is present iff it fails.
 
-    ``stats`` is filled by the pair engine (t = 2) and left out of equality.
+    ``stats`` is filled by the t = 2 scan and left out of equality.
     """
 
     holds: bool
@@ -174,6 +169,28 @@ class Verdict:
             raise ValueError("a holding verdict cannot carry a witness")
         if not self.holds and self.witness is None:
             raise ValueError("a failing verdict must carry a witness")
+
+
+def _witness_holds(code: Code, w: Witness) -> bool:
+    """Whether a witness of ``_scan`` holds by the raw definition, in O(|witness| n)."""
+
+    def desc(members):
+        return descendant(code.words[k] for k in members)
+
+    if isinstance(w, FramingWitness):
+        return w.framed not in w.coalition and desc(w.coalition).contains(code.words[w.framed])
+    if isinstance(w, CollisionWitness):
+        return w.first != w.second and desc(w.first) == desc(w.second)
+    if isinstance(w, AmbiguityWitness):
+        return not set(w.coalition) <= set(w.alternative) and desc(w.coalition) == desc(w.alternative)
+    # each extra word switches one position of one pair word to the other's
+    # symbol: every position for pattern 4, all but position pattern - 1 else
+    (u, v), spots = (code.words[k] for k in w.pair), {0, 1, 2} - {w.pattern - 1}
+    extra = sorted(code.words[k] for k in set(w.matched) - set(w.pair))
+    return (code.n == 3 and 0 < w.pattern < 5 and set(w.pair) <= set(w.matched)
+            and hamming(u, v) == 3 and any(
+                extra == sorted(a[:k] + b[k : k + 1] + a[k + 1 :] for k in spots)
+                for a, b in ((u, v), (v, u))))
 
 
 def _validate_t(t: int) -> None:
@@ -260,7 +277,7 @@ def _reduce(code: Code) -> Code:
 
 
 # ---------------------------------------------------------------------------
-# The pair engine: captured-set sizes of all pairs, in numpy batches.
+# The capture profile at t = 2, from the pair engine or the join, in numpy batches.
 # ---------------------------------------------------------------------------
 
 
@@ -365,16 +382,71 @@ def _capture_counts(
 def _capture_blocks(
     index: _WordIndex,
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The engine: (first, second, counts) over every pair i < j, lexicographic.
-
-    ``counts`` holds the captured-set sizes |desc({i, j}) ∩ C|.
-    """
+    """The pair engine: (i, j, |desc({i, j}) ∩ C|) over every pair i < j, in blocks."""
     m, n = index.words.shape
     total = m * (m - 1) // 2
     step = max(1, _BLOCK_ELEMS // n)
     for start in range(0, total, step):
         first, second = _pairs_at(m, np.arange(start, min(start + step, total)))
         yield first, second, _capture_counts(index, first, second)
+
+
+def _pair_profile(code: Code) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The profile from the pair engine, one chunk per block of pairs."""
+    start = 0
+    for _, _, counts in _capture_blocks(_WordIndex(code)):
+        big = np.flatnonzero(counts > 2)
+        yield start + big, counts[big]
+        start += counts.size
+
+
+def _join_profile(code: Code) -> Optional[list[tuple[np.ndarray, np.ndarray]]]:
+    """The profile from the join, in one chunk, or None past its triple limit.
+
+    ``ids[s]`` numbers the codewords' projections onto the positions of
+    bitmask s, each below M.  Sorting the keys s * M + ids[s] for every
+    0 < s < 2^n - 1 lays out all groups at once.  Cell c * S + s - 1, for
+    S = 2^n - 2, holds c's group on s: where it starts in the sort, how many
+    codewords besides c it holds and where c sits in it.  Its mirror cell
+    c * S + S - s holds c's group on the complement.
+    """
+    m, n = code.array.shape
+    full, cols = 2**n - 1, code.array.T.astype(np.int64)
+    ids = np.zeros((full, m), np.int64)
+    for s in range(1, full):  # s's lowest position added to the rest of s
+        low = (s & -s).bit_length() - 1
+        ids[s] = ids[s & s - 1] * (int(cols[low].max()) + 1) + cols[low]
+        if ids[s].max() >= m:
+            ids[s] = np.unique(ids[s], return_inverse=True)[1]
+    keys = (ids[1:].T + np.arange(1, full) * m).ravel()
+    order = np.argsort(keys)
+    bounds = np.flatnonzero(np.diff(keys[order], prepend=-1, append=-1))
+    sizes = np.diff(bounds)
+    head = np.repeat(bounds[:-1], sizes)
+    start, size, skip = np.empty((3, order.size), np.int64)
+    start[order], size[order], skip[order] = head, np.repeat(sizes - 1, sizes), np.arange(order.size) - head
+    members, mirror = order // (full - 1), np.arange(order.size).reshape(m, -1)[:, ::-1].ravel()
+    work = size * size[mirror]
+    if work.sum() > _JOIN_TRIPLES_PER_PAIR * m * (m - 1) // 2:
+        return None
+    cells = np.flatnonzero(work)
+    found, cuts = [], np.unique(np.cumsum(work[cells]) // _BLOCK_ELEMS, return_index=True)[1]
+    for block in np.split(cells, cuts[1:]):
+        local = np.repeat(np.arange(block.size), work[block])
+        rank = np.arange(local.size) - np.repeat(np.cumsum(work[block]) - work[block], work[block])
+        other = mirror[block]
+        row, col = np.divmod(rank, np.take(size[other], local))
+        row += row >= np.take(skip[block], local)
+        col += col >= np.take(skip[other], local)
+        i = np.take(members, np.take(start[block], local) + row)
+        j = np.take(members, np.take(start[other], local) + col)
+        # i agrees with c on s; it must differ from c at every other position
+        c, s = np.divmod(block, full - 1)
+        target = np.where(s + 1 >> np.arange(n)[:, None] & 1, -1, np.take(cols, c, axis=1))
+        keep = (np.take(cols, i, axis=1) != np.take(target, local, axis=1)).all(axis=0) & (i < j)
+        found.append((i * (2 * m - i - 1) // 2 + j - i - 1)[keep])
+    ranks, counts = np.unique(np.concatenate(found), return_counts=True)
+    return [(ranks, counts + 2)]
 
 
 def _scan(
@@ -385,48 +457,46 @@ def _scan(
 ) -> Verdict:
     """First coalition, lexicographically, for which ``test`` finds a witness.
 
-    The code is reduced first; ``test(coalition, captured)`` sees the
-    coalition's sorted captured set from ``captured_indices`` on the reduced
-    code, which is that of the code as given.  t >= 3 takes every coalition
-    that way; for t = 2 the engine counts every pair's captured set and only
-    the pairs capturing at least ``least`` codewords are taken (singletons
-    and pairs capturing only themselves never fail the tests here).
+    ``test(coalition, captured)`` sees the coalition's sorted captured set
+    from ``captured_indices`` on the reduced code, the same as on the code as
+    given: for t >= 3 every coalition, for t = 2 the profile's pairs that
+    capture at least ``least`` codewords (no other fails the tests here), or
+    none when ``test`` is None.  The witness must re-check on the code given.
     """
     _validate_t(t)
-    code = _reduce(code)
-    arr = code.array
+    given, code = code, _reduce(code)
+    arr, (m, n) = code.array, code.array.shape
+    witness, stats = None, None
     if t > 2:
-        for coalition in _coalitions(code, t):
-            witness = test(coalition, captured_indices(arr, coalition))
+        tests = (test(c, captured_indices(arr, c)) for c in _coalitions(code, t))
+        witness = next(filter(None, tests), None)
+    else:
+        pairs = m * (m - 1) // 2  # every pair up to the failing one, if any
+        histogram = np.zeros(max(m + 1, 3), dtype=np.int64)  # pairs by captured-set size
+        joined = _join_profile(code) if 2**n <= m else None
+        for ranks, counts in joined or _pair_profile(code):
+            for r in (np.flatnonzero(counts >= least) if test else ranks[:0]).tolist():
+                pair = tuple(x.item() for x in _pairs_at(m, ranks[r : r + 1]))
+                witness = test(pair, captured_indices(arr, pair))
+                if witness is not None:
+                    pairs, counts = int(ranks[r]) + 1, counts[: r + 1]
+                    break
+            tally = np.bincount(counts)
+            histogram[: tally.size] += tally
             if witness is not None:
-                return Verdict(False, witness)
-        return Verdict(True)
-    histogram = np.zeros(code.M + 1, dtype=np.int64)  # pairs by captured-set size
-    witness = None
-    for first, second, counts in _capture_blocks(_WordIndex(code)):
-        for r in np.flatnonzero(counts >= least).tolist():
-            pair = (int(first[r]), int(second[r]))
-            witness = test(pair, captured_indices(arr, pair))
-            if witness is not None:
-                counts = counts[: r + 1]
                 break
-        tally = np.bincount(counts)
-        histogram[: tally.size] += tally
-        if witness is not None:
-            break
-    sizes = np.flatnonzero(histogram)
-    stats = CaptureStats(
-        pairs=int(histogram.sum()),
-        histogram=tuple(zip(sizes.tolist(), histogram[sizes].tolist())),
-        max_capture=int(sizes[-1]) if sizes.size else 1,
-    )
+        histogram[2] = pairs - histogram.sum()  # the pairs no chunk lists capture 2
+        sizes = np.flatnonzero(histogram)
+        stats = CaptureStats(pairs, tuple(zip(sizes.tolist(), histogram[sizes].tolist())),
+                             int(sizes.max(initial=1)))
+    if witness is not None and not _witness_holds(given, witness):
+        raise RuntimeError(f"{witness} does not re-check on the code")
     return Verdict(witness is None, witness, stats)
 
 
 def capture_stats(code: Code) -> CaptureStats:
-    """Captured-set size histogram over all pairs of the code (the engine's tally)."""
-    # no pair captures more than M codewords, so the scan tests none
-    return _scan(code, 2, None, least=code.M + 1).stats
+    """Captured-set size histogram over all pairs of the code (the profile's tally)."""
+    return _scan(code, 2, None).stats
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,20 @@
-"""The pair engine behind the t = 2 verifiers, against the per-coalition
-reference deciders (``reference_verify``) and the brute-force oracles.
+"""The two backends behind the t = 2 verifiers, the pair engine and the
+join, against the per-coalition reference deciders (``reference_verify``)
+and the brute-force oracles.
 
-Codes whose alphabet product is at most 4096 always take the dense-table
-index and fit one block, so each check also runs with the dense table
-switched off (sorted keys) and with blocks of a pair or two.  Every scan
-reduces the code first (a one-hot composition to its q-ary source), so
-each check also runs with the reduction switched off, under the dense
-table and the sorted keys, to keep the full-length binary path covered; a
-property test compares the two paths.  Wide codes, whose alphabet product
-passes 2^64, have no key and take the whole-code scan in every setting.
+A reduced code with 2^n <= M takes the join, unless it would expand more
+triples than the code has pairs, and any other code the pair engine; so
+each check also runs with each backend forced, the join on every code of
+at most 10 positions.  Codes whose alphabet product is at most 4096
+always take the pair engine's dense-table index and fit one block, so the
+pair engine also runs with the dense table switched off (sorted keys) and
+both backends with blocks of a pair or two.  Every scan reduces the code
+first (a one-hot composition to its q-ary source), so each check also runs
+with the reduction switched off, under the dense table and the sorted keys,
+to keep the full-length binary path covered; a property test compares the
+two paths.  Wide codes, whose alphabet product passes 2^64, have no key and
+take the whole-code scan in every setting.  Failing verdicts carry the
+stats of the pairs up to their witness, which every setting must repeat.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from contextlib import ExitStack, contextmanager
-from itertools import combinations
+from itertools import combinations, product
 from unittest import mock
 
 import numpy as np
@@ -33,10 +39,21 @@ from sepcode.construct import build_length3, one_hot_compose
 
 @contextmanager
 def engine_setting(kind: str):
-    """The engine as configured, or with sorted keys in place of the dense
-    table, tiny blocks or no reduction of the code; "+" joins settings."""
+    """The scan as configured, or with one backend forced ("pairs" or
+    "join"), sorted keys in place of the dense table, tiny blocks or no
+    reduction of the code; "+" joins settings."""
     kinds = kind.split("+")
+    pairs, join = verify._pair_profile, verify._join_profile
     with ExitStack() as stack:
+        if "pairs" in kinds:
+            stack.enter_context(mock.patch.object(verify, "_join_profile", lambda code: None))
+        if "join" in kinds:
+
+            def forced(code: Code):  # the wide codes have too many position subsets
+                return (join if code.n <= 10 else pairs)(code)
+
+            stack.enter_context(mock.patch.object(verify, "_pair_profile", forced))
+            stack.enter_context(mock.patch.object(verify, "_JOIN_TRIPLES_PER_PAIR", np.inf))
         if "sorted" in kinds:
             stack.enter_context(mock.patch.object(verify, "_DENSE_TABLE_MAX", 0))
         if "tiny-blocks" in kinds:
@@ -46,7 +63,16 @@ def engine_setting(kind: str):
         yield
 
 
-ENGINE_SETTINGS = ("dense", "sorted", "tiny-blocks", "unreduced", "unreduced+sorted")
+ENGINE_SETTINGS = (
+    "dense",
+    "pairs",
+    "pairs+sorted",
+    "pairs+tiny-blocks",
+    "join",
+    "join+tiny-blocks",
+    "unreduced",
+    "unreduced+sorted",
+)
 
 
 @st.composite
@@ -75,12 +101,32 @@ def _verdicts(module, code: Code, ts) -> dict:
     return verdicts
 
 
+def pair_stats(code: Code, verdict) -> verify.CaptureStats:
+    """A t = 2 verdict's stats, pair by pair: the capture sizes of every
+    pair, or of the pairs up to and including the one that failed."""
+    pairs = list(combinations(range(code.M), 2))
+    w = verdict.witness
+    if w is not None:
+        failed = w.second if isinstance(w, verify.CollisionWitness) else getattr(w, "pair", None)
+        pairs = pairs[: pairs.index(failed or w.coalition) + 1]
+    sizes = Counter(len(captured_indices(code.array, pair)) for pair in pairs)
+    return verify.CaptureStats(len(pairs), tuple(sorted(sizes.items())), max(sizes, default=1))
+
+
 def assert_matches_reference(code: Code, ts=(2, 3, 4)) -> None:
-    # the reference reads none of the engine settings, so it runs once
+    # the reference reads none of the engine settings, so it runs once;
+    # Verdict equality leaves stats out, so they are compared on their own
     want = _verdicts(ref, code, ts)
+    want_stats = {
+        key: pair_stats(code, verdict) if key == "forbidden_type_scan" or 2 in key else None
+        for key, verdict in want.items()
+        if key != "desc_cap_bound"
+    }
     for kind in ENGINE_SETTINGS:
         with engine_setting(kind):
-            assert _verdicts(verify, code, ts) == want, kind
+            got = _verdicts(verify, code, ts)
+        assert got == want, kind
+        assert {key: got[key].stats for key in want_stats} == want_stats, kind
 
 
 @settings(max_examples=150, deadline=None)
@@ -137,6 +183,48 @@ def test_capture_counts_equal_brute_oracle() -> None:
                 assert seen == list(combinations(range(code.M), 2))
 
 
+def _profile(backend, code: Code) -> tuple[list[int], list[int]]:
+    chunks = list(backend(code))
+    ranks = [r for rank, _ in chunks for r in rank.tolist()]
+    return ranks, [c for _, count in chunks for c in count.tolist()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(codes(q=st.integers(2, 5)))
+def test_both_backends_give_the_profile_of_captured_sets(code) -> None:
+    pairs = list(combinations(range(code.M), 2))
+    sizes = [len(brute_captured(code, pair)) for pair in pairs]
+    want = ([r for r, size in enumerate(sizes) if size > 2], [s for s in sizes if s > 2])
+    unlimited = mock.patch.object(verify, "_JOIN_TRIPLES_PER_PAIR", np.inf)
+    for kind in ("dense", "tiny-blocks"):
+        with engine_setting(kind), unlimited:  # the join past its triple limit too
+            for given_or_reduced in (code, verify._reduce(code)):
+                assert _profile(verify._pair_profile, given_or_reduced) == want, kind
+                assert _profile(verify._join_profile, given_or_reduced) == want, kind
+
+
+# n = 1 has no proper position subset; M = 1 has no pair
+EDGE_CODES = {
+    "n=1": Code.from_words([(0,), (2,), (1,)], q=3),
+    "M=1": Code.from_words([(2, 0, 1)], q=3),
+    "M=2": Code.from_words([(0, 1, 1), (1, 0, 1)], q=2),
+    "M=2,n=1": Code.from_words([(1,), (0,)], q=2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CODES))
+def test_edge_codes_under_both_backends(name) -> None:
+    code = EDGE_CODES[name]
+    assert_matches_reference(code, ts=(2, 3))
+    pairs = code.M * (code.M - 1) // 2
+    want = verify.CaptureStats(pairs, ((2, pairs),) if pairs else (), 2 if pairs else 1)
+    for backend in (verify._pair_profile, verify._join_profile):
+        assert _profile(backend, code) == _profile(backend, verify._reduce(code)) == ([], [])
+    for kind in ENGINE_SETTINGS:
+        with engine_setting(kind):
+            assert verify.capture_stats(code) == want, kind
+
+
 def _near_zero(length: int, moved: dict[int, int]) -> tuple[int, ...]:
     return tuple(moved.get(p, 0) for p in range(length))
 
@@ -178,6 +266,24 @@ def test_codes_at_the_edge_of_a_64_bit_key(name) -> None:
     for kind in ENGINE_SETTINGS:
         with engine_setting(kind):
             assert verify.capture_stats(code) == want
+
+
+def test_short_codes_take_the_join_and_long_ones_the_pair_engine() -> None:
+    def refuse(code: Code):
+        raise AssertionError(f"the other backend should take n={code.n}, M={code.M}")
+
+    q_ary = build_length3(12, 3)
+    # the Fano plane's 21 (point, line) incidences: a length-2 code
+    fano = Code.from_words([((k + d) % 7, k) for k in range(7) for d in (0, 1, 3)])
+    for code in (q_ary, one_hot_compose(q_ary), fano):  # 2^n <= M once reduced
+        with mock.patch.object(verify, "_pair_profile", refuse):
+            assert verify.capture_stats(code).pairs == code.M * (code.M - 1) // 2
+    with mock.patch.object(verify, "_join_profile", refuse):
+        assert verify.capture_stats(_zero_and_units(8)).max_capture == 3  # 2^8 > 9
+    # 2^5 <= 32, but the join would expand 18,240 triples for 496 pairs
+    cube = Code.from_words(product((0, 1), repeat=5))
+    assert verify._join_profile(verify._reduce(cube)) is None
+    assert verify.capture_stats(cube).histogram[-1] == (32, 16)
 
 
 def test_stats_report_the_capture_histogram() -> None:

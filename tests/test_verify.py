@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 import time
 from itertools import product
+from unittest import mock
 
 import pytest
 
@@ -14,7 +15,7 @@ from conftest import (
     random_code,
 )
 from sepcode import verify
-from sepcode.codes import Code, desc_intersect_code, descendant, hamming, shortened
+from sepcode.codes import Code, desc_intersect_code, hamming, shortened
 from sepcode.construct import build_length3, optimal_s
 from sepcode.verify import (
     AmbiguityWitness,
@@ -39,36 +40,61 @@ SINGLETON = Code.from_words([(0, 1, 0)], q=2)
 
 
 def revalidate(code: Code, verdict: Verdict) -> None:
-    """Check a failing verdict's witness against the raw definitions."""
+    """Check a failing verdict's witness against the raw definitions: the
+    library's own check, and that a listed captured set is the whole one."""
     w = verdict.witness
     assert not verdict.holds and w is not None
-    if isinstance(w, FramingWitness):
-        captured = desc_intersect_code(code, w.coalition)
-        assert captured == frozenset(w.captured)
-        assert w.framed in captured - set(w.coalition)
-    elif isinstance(w, CollisionWitness):
-        assert w.first != w.second
-        assert descendant(code.words[i] for i in w.first) == descendant(
-            code.words[i] for i in w.second
-        )
-    elif isinstance(w, AmbiguityWitness):
-        assert descendant(code.words[i] for i in w.coalition) == descendant(
-            code.words[i] for i in w.alternative
-        )
-        assert not set(w.coalition) <= set(w.alternative)
-    elif isinstance(w, ForbiddenPatternWitness):
-        i, j = w.pair
-        assert hamming(code.words[i], code.words[j]) == 3
-        captured = desc_intersect_code(code, w.pair)
-        assert captured == frozenset(w.matched)
-        assert len(captured) == (5 if w.pattern == 4 else 4)
-    elif isinstance(w, OverlapWitness):
+    if isinstance(w, OverlapWitness):
         g1, g2 = w.symbols
         shared = shortened(code, w.position, g1) & shortened(code, w.position, g2)
         assert set(w.shared) <= shared
         assert len(w.shared) > 1
-    else:  # pragma: no cover
-        pytest.fail(f"unknown witness {w!r}")
+        return
+    assert verify._witness_holds(code, w)
+    if isinstance(w, FramingWitness):
+        assert desc_intersect_code(code, w.coalition) == frozenset(w.captured)
+    elif isinstance(w, ForbiddenPatternWitness):
+        assert desc_intersect_code(code, w.pair) == frozenset(w.matched)
+        assert len(w.matched) == (5 if w.pattern == 4 else 4)
+
+
+# u = 000, v = 111 and the words switching one position of u to v's symbol
+PATTERN_CODE = Code.from_words([(0, 0, 0), (1, 1, 1), (0, 0, 1), (0, 1, 0), (1, 0, 0)])
+
+# (code, witness, whether it holds by the raw definition)
+WITNESS_CHECKS = [
+    (ZERO_PLUS_UNITS, FramingWitness((1, 2), 0, (0, 1, 2)), True),
+    (ZERO_PLUS_UNITS, FramingWitness((1, 2), 1, (0, 1, 2)), False),  # framed is a member
+    (ZERO_PLUS_UNITS, FramingWitness((1, 2), 3, (1, 2, 3)), False),  # 001 not in desc
+    (FULL_SQUARE, CollisionWitness((0, 3), (1, 2)), True),
+    (FULL_SQUARE, CollisionWitness((1, 2), (1, 2)), False),  # not two subsets
+    (FULL_SQUARE, CollisionWitness((0, 1), (2, 3)), False),  # other descendants
+    (ZERO_UNITS_ONES, AmbiguityWitness((0, 4), (1, 2, 3)), True),
+    (ZERO_UNITS_ONES, AmbiguityWitness((0, 4), (0, 1, 4)), False),  # holds the coalition
+    (ZERO_UNITS_ONES, AmbiguityWitness((0, 4), (1, 2)), False),  # other descendant
+    (PATTERN_CODE, ForbiddenPatternWitness((0, 1), 4, (0, 1, 2, 3, 4)), True),
+    (PATTERN_CODE, ForbiddenPatternWitness((0, 1), 1, (0, 1, 2, 3, 4)), False),
+    (PATTERN_CODE, ForbiddenPatternWitness((0, 1), 1, (0, 1, 2, 3)), True),  # 001, 010
+    (PATTERN_CODE, ForbiddenPatternWitness((0, 1), 3, (0, 1, 2, 3)), False),
+    (PATTERN_CODE, ForbiddenPatternWitness((0, 1), 5, (0, 1, 2, 3)), False),
+    (PATTERN_CODE, ForbiddenPatternWitness((0, 2), 1, (0, 1, 2, 3)), False),  # distance 1
+    (PATTERN_CODE, ForbiddenPatternWitness((0, 1), 3, (0, 2, 3)), False),  # pair not listed
+]
+
+
+@pytest.mark.parametrize("code, witness, holds", WITNESS_CHECKS)
+def test_the_library_rechecks_witnesses_by_the_raw_definition(code, witness, holds) -> None:
+    assert verify._witness_holds(code, witness) is holds
+
+
+def test_a_witness_that_does_not_recheck_is_never_returned() -> None:
+    def frames_a_member(coalition, captured):
+        return FramingWitness(coalition, coalition[0], tuple(captured))
+
+    with mock.patch.object(verify, "_framing", frames_a_member):
+        for t in (2, 3):
+            with pytest.raises(RuntimeError, match="does not re-check"):
+                is_fpc(ZERO_PLUS_UNITS, t)
 
 
 def test_subset_enumeration_is_lexicographic() -> None:
