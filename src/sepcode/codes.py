@@ -18,9 +18,11 @@ materialized as word lists except through the bounded enumeration helper.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product
+from mmap import ACCESS_READ, mmap
 from pathlib import Path
 
 import numpy as np
@@ -123,7 +125,7 @@ def _code_array(words, n: int, q: int) -> np.ndarray:
     valid = len(raw)  # rows before the first one holding a symbol outside 0..q-1
     if raw.min() < 0 or raw.max() >= q:
         valid = np.flatnonzero(((raw < 0) | (raw >= q)).any(axis=1))[0]
-    # another Code's words are already read-only and may be shared
+    # a Words is adopted: another Code's words, or rows built for this Code
     arr = raw.astype(dtype, copy=not isinstance(words, Words))
     # a binary row packs to n/8 bytes: a shorter key sorts faster
     rows = np.packbits(arr[:valid], axis=1) if q == 2 else np.ascontiguousarray(arr[:valid])
@@ -160,8 +162,10 @@ class Code:
     The words are held once, as the read-only (M, n) array ``array`` of the
     smallest unsigned dtype holding q - 1, validated on construction.
     ``words`` may be given as any (M, n) integer array, a sequence of
-    integer tuples or another Code's ``words``; it is kept as a ``Words``
-    row view of ``array``.  A binary code also derives ``packed``, its
+    integer tuples or a ``Words``; it is kept as a ``Words`` row view of
+    ``array``.  A ``Words`` of that dtype is adopted: its array becomes
+    ``array``, uncopied and made read-only.  Other input is copied, so an
+    array given stays writable.  A binary code also derives ``packed``, its
     words as uint64 bit limbs, from ``array`` on first use and caches it.
     """
 
@@ -380,7 +384,7 @@ def _parse_lines(text: str) -> Code:
             raise CodeFormatError(f"symbol {sym} outside alphabet 0..{q - 1}", lineno)
         words.append(np.array(w, dtype=dtype))
     try:
-        return Code(n=n, M=m, q=q, words=np.stack(words))
+        return Code(n=n, M=m, q=q, words=Words(np.stack(words)))
     except ValueError as exc:
         raise CodeFormatError(str(exc), head_line) from None
 
@@ -401,7 +405,7 @@ def _row_base(n: int) -> np.ndarray:
     return base
 
 
-def _fixed_rows(data: bytes, pos: int, n: int, m: int, q: int) -> np.ndarray | None:
+def _fixed_rows(data: bytes | mmap, pos: int, n: int, m: int, q: int) -> np.ndarray | None:
     """The M rows of ``data[pos:]`` as one-digit symbols, or None unless the
     body is exactly M rows "d d ... d\\n" of symbols below q.
 
@@ -420,7 +424,7 @@ def _fixed_rows(data: bytes, pos: int, n: int, m: int, q: int) -> np.ndarray | N
     return out
 
 
-def _tokenize(data: bytes, pos: int, n: int, m: int, q: int) -> np.ndarray | None:
+def _tokenize(data: bytes | mmap, pos: int, n: int, m: int, q: int) -> np.ndarray | None:
     """The M rows of ``data[pos:]`` tokenized in blocks, or None unless the
     body is M lines of n decimal tokens below q, separated by spaces, tabs
     and blank lines."""
@@ -470,18 +474,19 @@ def _tokenize(data: bytes, pos: int, n: int, m: int, q: int) -> np.ndarray | Non
     return out.reshape(m, n) if lines == m else None
 
 
-def _parse_blocks(data: bytes) -> Code | None:
+def _parse_blocks(data: bytes | mmap) -> Code | None:
     """Parse a plain code file's bytes with numpy, or return None.
 
     Plain means ASCII, header lines split at "\\n" alone, and a body of
     exactly M lines of n decimal tokens below q, separated by spaces, tabs
     and blank lines.  A body of exactly M rows "d d ... d\\n" is read as
-    fixed-width rows; any other plain body is tokenized in blocks.  Anything
-    else returns None, so that ``_parse_lines`` gives the result or the
-    error.  Only what ``_parse_lines`` would raise the same way raises here:
-    a faulty header, and a duplicate codeword, both on the header line.
+    fixed-width rows; any other plain body is tokenized in blocks; the rows
+    either builds become the Code's array.  Anything else returns None, so
+    that ``_parse_lines`` gives the result or the error.  Only what
+    ``_parse_lines`` would raise the same way raises here: a faulty header,
+    and a duplicate codeword, both on the header line.
     """
-    if not data.isascii():
+    if np.frombuffer(data, np.uint8).max(initial=0) > 127:  # not ASCII
         return None
     pos = head_line = 0
     while pos < len(data):
@@ -510,7 +515,7 @@ def _parse_blocks(data: bytes) -> Code | None:
     if words is None:
         return None
     try:
-        return Code(n=n, M=m, q=q, words=words)
+        return Code(n=n, M=m, q=q, words=Words(words))
     except ValueError as exc:
         raise CodeFormatError(str(exc), head_line) from None
 
@@ -544,7 +549,8 @@ def _text_blocks(code: Code) -> Iterator[np.ndarray]:
     if hi < 10:  # fixed-width rows "d d ... d\n"
         base = _row_base(code.n)
         for start in range(0, code.M, _ITER_BLOCK):
-            yield (code.array[start : start + _ITER_BLOCK] + base).astype("<u2").view(np.uint8)
+            cells = code.array[start : start + _ITER_BLOCK] + base  # <u2 unless symbols are wider
+            yield cells.astype("<u2", copy=False).view(np.uint8)
         return
     # index the names by symbol value unless the table would outgrow the code
     by_value = hi < code.array.size
@@ -576,10 +582,19 @@ def _decode(raw: bytes) -> str:
 
 
 def read_code_file(path: str | Path) -> Code:
-    """Parse a code file; its bytes are tokenized as they are, without a decoded copy."""
-    raw = Path(path).read_bytes()
-    code = _parse_blocks(raw)
-    return _parse_lines(_decode(raw)) if code is None else code
+    """Parse a code file; its bytes are tokenized as they are, without a decoded copy.
+
+    The file is mapped read-only for the parse and unmapped before returning;
+    the parser writes the codewords into the array that becomes the Code.
+    """
+    with open(path, "rb") as file:
+        try:
+            data = mmap(file.fileno(), 0, access=ACCESS_READ)
+        except (OSError, ValueError):  # size 0 (empty, a FIFO, /proc) or not mappable
+            data = file.read()
+    with data if isinstance(data, mmap) else nullcontext():
+        code = _parse_blocks(data)
+        return _parse_lines(_decode(data[:])) if code is None else code
 
 
 def write_code_file(path: str | Path, code: Code) -> None:

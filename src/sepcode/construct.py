@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import Code
+from .codes import Code, Words
 
 # numerator offset of the size-maximizing s = (q + offset) / 4, by q mod 8
 _S_OFFSET = {0: -4, 1: -1, 2: 2, 3: -3, 4: 0, 5: 3, 6: -2, 7: 1}
@@ -85,7 +85,7 @@ def one_hot_compose(code: Code) -> Code:
     t-separable output.
     """
     bits = np.eye(code.q, dtype=np.uint8)[code.array].reshape(code.M, code.n * code.q)
-    return Code(n=code.n * code.q, M=code.M, q=2, words=bits)
+    return Code(n=code.n * code.q, M=code.M, q=2, words=Words(bits))
 
 
 def size_defect(q: int) -> int:

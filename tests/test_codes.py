@@ -18,6 +18,7 @@ from sepcode.codes import (
     Code,
     CodeFormatError,
     FeasibleSet,
+    Words,
     desc_intersect_code,
     descendant,
     format_code_text,
@@ -293,6 +294,18 @@ def test_codes_from_words_array_and_view_compare_equal() -> None:
     source[0, 0] = 1  # the caller's array is copied, not kept
     assert by_array.words[0] == (0, 3)
     assert by_words != Code.from_words(source.tolist(), q=4)
+
+
+def test_code_adopts_words_and_copies_plain_arrays() -> None:
+    rows = np.array([[0, 3], [2, 1], [1, 1]], dtype=np.uint8)
+    adopted = Code(2, 3, 4, Words(rows))
+    assert np.shares_memory(adopted.array, rows) and not rows.flags.writeable
+    plain = np.array([[0, 3], [2, 1], [1, 1]], dtype=np.uint8)
+    copied = Code(2, 3, 4, plain)
+    assert not np.shares_memory(copied.array, plain) and plain.flags.writeable
+    assert not copied.array.flags.writeable and copied == adopted
+    wide = np.array([[0, 3], [2, 1], [1, 1]], dtype=np.int64)  # another dtype is cast, not adopted
+    assert not np.shares_memory(Code(2, 3, 4, Words(wide)).array, wide) and wide.flags.writeable
 
 
 def test_code_errors_name_the_first_faulty_codeword() -> None:

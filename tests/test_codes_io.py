@@ -9,13 +9,20 @@ A body of one-digit rows "d d ... d\\n" must parse on the fixed-width row
 path alone, and every one-byte change to such a body must still parse like
 the reference.  ``format_code_text`` must reproduce the reference byte for
 byte, and its output must parse back on the block path alone.  Code
-validation must return the reference validator's array or raise its message.
+files must read like the reference whatever kind of file holds them, and
+every parse path must hand ``Code`` the rows it built, to be kept without a
+copy.  Code validation must return the reference validator's array or raise
+its message.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+import tracemalloc
 from contextlib import contextmanager, nullcontext
 from itertools import product
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -337,6 +344,109 @@ def test_composed_code_round_trips_in_many_blocks() -> None:
         assert text == ref.format_code_text(code)
         with mock.patch.object(codes, "_PARSE_BLOCK", 1000), block_path_only():
             assert parse_code_text(text) == code
+
+
+# --------------------------------------------------------------------- files
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["3 2 3\n0 1 2\n2 1 0\n", "3 2 12\n0 11 2\n2 1 0\n", "3 2 3\r\n0 1 2\r\n2 1 0\r\n"],
+    ids=["fixed-width rows", "tokens", "lines"],
+)
+def test_every_parse_path_hands_code_its_rows(text: str) -> None:
+    handed = []
+    validate = codes._code_array
+
+    def spy(words, n: int, q: int) -> np.ndarray:
+        handed.append(words)
+        return validate(words, n, q)
+
+    with mock.patch.object(codes, "_code_array", spy):
+        code = parse_code_text(text)
+    assert isinstance(handed[0], codes.Words) and code.array is np.asarray(handed[0])
+
+
+def test_reading_and_composing_the_q100_code_allocate_its_words_once(tmp_path) -> None:
+    q_ary = build_length3(100, optimal_s(100).s)
+    code = one_hot_compose(q_ary)
+    path = tmp_path / "q100.code"
+    codes.write_code_file(path, code)
+    for make in (lambda: codes.read_code_file(path), lambda: one_hot_compose(q_ary)):
+        tracemalloc.start()
+        try:
+            made = make()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert made == code
+        # the words (M * n bytes) and validation's packed keys; no second copy
+        assert peak <= 2 * code.M * code.n
+
+
+def file_outcome(raw: bytes):
+    """The reference's outcome for a file's bytes: UTF-8 text, then parsed."""
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw[: exc.start].count(b"\n") + 1
+        message = f"not UTF-8 text: byte 0x{raw[exc.start]:02x} at offset {exc.start}"
+        return "error", f"line {line}: {message}", line
+    return outcome(ref.parse_code_text, text)
+
+
+FILES = {
+    "empty": b"",
+    "plain": b"3 2 2\n0 1 0\n1 1 0\n",
+    "duplicate": b"3 2 2\n0 1 0\n0 1 0\n",
+    "non-UTF-8 byte": b"3 2 2\n0 0 0\n1 1 \xff\n",
+    "non-UTF-8 byte after a faulty header": b"3 2\n0 0 \xff\n",
+    "UTF-8 comment": "# \u00e9\n3 2 2\n0 1 0\n1 1 0\n".encode(),
+    # str.splitlines breaks at U+2028, so the header is on line 2
+    "U+2028 before the header": "# note\u2028 3 2 2\n0 1 0\n1 1 0\n".encode(),
+    "U+2028 before a duplicate": "# note\u2028 3 2 2\n0 1 0\n0 1 0\n".encode(),
+}
+
+
+def mapped(path: Path) -> bool:
+    """Whether ``path`` appears in this process's memory map (Linux only)."""
+    return str(path) in Path("/proc/self/maps").read_text()
+
+
+@pytest.mark.parametrize("raw", FILES.values(), ids=FILES.keys())
+def test_code_files_read_like_reference(tmp_path, raw: bytes) -> None:
+    path = tmp_path / "code"
+    path.write_bytes(raw)
+    assert outcome(codes.read_code_file, path) == file_outcome(raw)
+    if os.path.exists("/proc/self/maps"):
+        assert not mapped(path)  # unmapped after a successful or a failing read
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("raw", FILES.values(), ids=FILES.keys())
+def test_code_files_read_from_a_fifo_like_reference(tmp_path, raw: bytes) -> None:
+    path = tmp_path / "code"
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_bytes, args=(raw,), daemon=True)
+    writer.start()
+    assert outcome(codes.read_code_file, path) == file_outcome(raw)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps")
+def test_a_code_file_is_mapped_for_the_parse_alone(tmp_path) -> None:
+    path = tmp_path / "code"
+    path.write_bytes(b"3 2 2\n0 1 0\n1 1 0\n")
+    parse, during = codes._parse_blocks, []
+
+    def spy(data):
+        during.append(mapped(path))
+        return parse(data)
+
+    with mock.patch.object(codes, "_parse_blocks", spy):
+        assert codes.read_code_file(path).M == 2
+    assert during == [True] and not mapped(path)
 
 
 # ---------------------------------------------------------------- validation
