@@ -15,11 +15,15 @@ to keep the full-length binary path covered; a property test compares the
 two paths.  Wide codes, whose alphabet product passes 2^64, have no key and
 take the whole-code scan in every setting.  Failing verdicts carry the
 stats of the pairs up to their witness, which every setting must repeat.
+
+A code keeps its reduction and its join profile once computed, so each
+setting runs on a fresh copy of the code, which computes its own.
 """
 
 from __future__ import annotations
 
 import random
+import weakref
 from collections import Counter
 from contextlib import ExitStack, contextmanager
 from itertools import combinations, product
@@ -89,6 +93,11 @@ def codes(draw, n=st.integers(1, 6), q=st.integers(2, 4)) -> Code:
     return Code.from_words(words, q=q)
 
 
+def fresh(code: Code) -> Code:
+    """An equal code that has computed nothing yet: its array is a copy."""
+    return Code(n=code.n, M=code.M, q=code.q, words=code.array)
+
+
 def _verdicts(module, code: Code, ts) -> dict:
     verdicts = {
         (name, t): getattr(module, name)(code, t)
@@ -124,7 +133,7 @@ def assert_matches_reference(code: Code, ts=(2, 3, 4)) -> None:
     }
     for kind in ENGINE_SETTINGS:
         with engine_setting(kind):
-            got = _verdicts(verify, code, ts)
+            got = _verdicts(verify, fresh(code), ts)
         assert got == want, kind
         assert {key: got[key].stats for key in want_stats} == want_stats, kind
 
@@ -222,7 +231,7 @@ def test_edge_codes_under_both_backends(name) -> None:
         assert _profile(backend, code) == _profile(backend, verify._reduce(code)) == ([], [])
     for kind in ENGINE_SETTINGS:
         with engine_setting(kind):
-            assert verify.capture_stats(code) == want, kind
+            assert verify.capture_stats(fresh(code)) == want, kind
 
 
 def _near_zero(length: int, moved: dict[int, int]) -> tuple[int, ...]:
@@ -265,7 +274,7 @@ def test_codes_at_the_edge_of_a_64_bit_key(name) -> None:
     want = verify.CaptureStats(len(pairs), tuple(sorted(sizes.items())), max(sizes))
     for kind in ENGINE_SETTINGS:
         with engine_setting(kind):
-            assert verify.capture_stats(code) == want
+            assert verify.capture_stats(fresh(code)) == want, kind
 
 
 def test_short_codes_take_the_join_and_long_ones_the_pair_engine() -> None:
@@ -341,10 +350,10 @@ def test_reduction_keeps_every_verdict_witness_and_stat(code) -> None:
         for decide in (verify.is_fpc, verify.is_sc, verify.is_ssc):
             got = decide(code, t)
             with engine_setting("unreduced"):
-                want = decide(code, t)
+                want = decide(fresh(code), t)
             assert got == want and got.stats == want.stats
     with engine_setting("unreduced"):
-        want_stats = verify.capture_stats(code)
+        want_stats = verify.capture_stats(fresh(code))
     assert verify.capture_stats(code) == want_stats
 
 
@@ -389,3 +398,98 @@ def test_reduction_of_trivial_and_irreducible_codes() -> None:
     q_ary = build_length3(12, 3)
     assert verify._reduce(q_ary) is q_ary
     assert verify._reduce(one_hot_compose(q_ary)) == q_ary
+
+
+# the t = 2 entry points, and those of them defined on codes of any length
+T2_ENTRY_POINTS = {
+    "is_ssc": lambda code: verify.is_ssc(code, 2),
+    "is_sc": lambda code: verify.is_sc(code, 2),
+    "is_fpc": lambda code: verify.is_fpc(code, 2),
+    "forbidden_type_scan": verify.forbidden_type_scan,
+    "desc_cap_bound": verify.desc_cap_bound,
+    "capture_stats": verify.capture_stats,
+}
+ANY_LENGTH = ("is_ssc", "is_sc", "is_fpc", "capture_stats")
+
+
+@contextmanager
+def counted(*names: str):
+    """Counting wrappers around the named ``verify`` functions."""
+    with ExitStack() as stack:
+        yield [
+            stack.enter_context(mock.patch.object(verify, name, wraps=getattr(verify, name)))
+            for name in names
+        ]
+
+
+def test_a_code_is_reduced_and_joined_once_for_every_t2_decider() -> None:
+    q_ary = build_length3(12, 3)
+    for code, names in ((q_ary, sorted(T2_ENTRY_POINTS)), (one_hot_compose(q_ary), ANY_LENGTH)):
+        with counted("_reduce", "_join_profile") as (reduce, join):
+            for _ in range(2):
+                for name in names:
+                    T2_ENTRY_POINTS[name](code)
+            verify.is_ssc(code, 3)  # t = 3 reads the kept reduction too
+        assert (reduce.call_count, join.call_count) == (1, 1), code.n
+
+
+def test_an_equal_code_computes_its_own_profile() -> None:
+    code = build_length3(12, 3)
+    before = hash(code)
+    stats = verify.capture_stats(code)
+    twin = fresh(code)
+    assert twin == code and hash(twin) == hash(code) == before
+    with counted("_reduce", "_join_profile") as (reduce, join):
+        assert verify.capture_stats(twin) == stats
+        assert verify.capture_stats(code) == stats
+    assert (reduce.call_count, join.call_count) == (1, 1)
+    # the profile is read-only and its counts take the smallest unsigned dtype
+    ((ranks, counts),) = verify._joined(code)
+    assert counts.dtype == np.uint8 and not ranks.flags.writeable and not counts.flags.writeable
+
+
+def test_kept_values_die_with_their_code() -> None:
+    q_ary = build_length3(12, 3)
+    for make in (fresh, one_hot_compose):  # a code reduced to itself, and one not
+        code = make(q_ary)
+        verify.is_ssc(code, 2)
+        gone = weakref.ref(code)
+        del code
+        assert gone() is None  # no cycle keeps it for the garbage collector
+
+
+def test_the_pair_engine_still_stops_at_its_first_witness() -> None:
+    rng = random.Random(20261019)
+    head = [(0,) * 40, (1, 1) + (0,) * 38, (1,) + (0,) * 39]  # {0, 1} frames word 2
+    words = set(head)
+    while len(words) < 200:
+        words.add(tuple(rng.randint(0, 1) for _ in range(40)))
+    code = Code.from_words(head + sorted(words - set(head)))  # 2^40 > 200: the pair engine
+    blocks, pulled = verify._capture_blocks, []
+
+    def counting(index):
+        for block in blocks(index):
+            pulled.append(block[2].size)
+            yield block
+
+    with mock.patch.object(verify, "_capture_blocks", counting):
+        for _ in range(2):  # nothing is kept, so each scan pulls its own block
+            verdict = verify.is_fpc(code, 2)
+            assert verdict.witness == verify.FramingWitness((0, 1), 2, (0, 1, 2))
+    assert len(pulled) == 2 and pulled[0] < code.M * (code.M - 1) // 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(codes(), st.booleans())
+def test_kept_and_fresh_code_verdicts_and_stats_are_equal(code, compose) -> None:
+    code = one_hot_compose(code) if compose else code
+    names = sorted(T2_ENTRY_POINTS) if code.n == 3 else ANY_LENGTH
+
+    def outcomes(source):
+        return [(x, getattr(x, "stats", None)) for x in (
+            [T2_ENTRY_POINTS[name](source()) for name in names]
+            + [decide(source(), 3) for decide in (verify.is_fpc, verify.is_sc, verify.is_ssc)]
+        )]
+
+    kept = outcomes(lambda: code)
+    assert outcomes(lambda: code) == kept == outcomes(lambda: fresh(code))
