@@ -17,10 +17,10 @@ materialized as word lists except through the bounded enumeration helper.
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Iterable, Iterator, Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import product
 from mmap import ACCESS_READ, mmap
 from pathlib import Path
@@ -35,6 +35,8 @@ _ITER_BLOCK = 1024
 # characters of code-file text tokenized per numpy step; blocks are cut
 # after a newline, so a line longer than this makes its block longer
 _PARSE_BLOCK = 1 << 18
+# where ``_code_array`` leaves the array it validated, with a binary one's limbs
+_packing = threading.local()
 
 
 class CodeFormatError(ValueError):
@@ -108,12 +110,29 @@ def _first_fault(words, n: int, q: int) -> str:
     return "codewords must be integer sequences"
 
 
+def _row_keys(columns: np.ndarray, radix: int) -> np.ndarray:
+    """A uint64 key per word, its digits below ``radix`` down ``columns``: its exact mixed-radix
+    index up to radix ** len(columns) = 2**64, else a splitmix64 chain, which may collide."""
+    exact, keys = radix ** len(columns) <= 2**64, np.zeros(columns.shape[1], np.uint64)
+    for col in columns:
+        if exact:  # a radix of 2**64 comes with one column, added to the zero start
+            keys = keys * np.uint64(radix % 2**64) + col
+        else:
+            keys ^= col
+            for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+                keys ^= keys >> np.uint64(shift)
+                keys *= np.uint64(factor)
+            keys ^= keys >> np.uint64(31)
+    return keys
+
+
 def _code_array(words, n: int, q: int) -> np.ndarray:
     """The words as a validated, read-only (M, n) array of ``_symbol_dtype(q)``.
 
     Faults are reported for the first faulty codeword in order: wrong
     length, then a symbol outside the alphabet, then a repeat of an
-    earlier codeword.
+    earlier codeword.  Repeats are sorted out on ``_row_keys``, of a binary
+    row's ``pack_bits`` limbs (kept as ``Code.packed``), and confirmed on the rows.
     """
     dtype = _symbol_dtype(q)
     try:
@@ -123,21 +142,21 @@ def _code_array(words, n: int, q: int) -> np.ndarray:
     if raw is None or raw.ndim != 2 or raw.shape[1] != n or raw.dtype.kind not in "biu":
         raise ValueError(_first_fault(words, n, q))
     valid = len(raw)  # rows before the first one holding a symbol outside 0..q-1
-    if raw.min() < 0 or raw.max() >= q:
+    if (raw.dtype.kind == "i" and raw.min() < 0) or raw.max() >= q:
         valid = np.flatnonzero(((raw < 0) | (raw >= q)).any(axis=1))[0]
     # a Words is adopted: another Code's words, or rows built for this Code
     arr = raw.astype(dtype, copy=not isinstance(words, Words))
-    # a binary row packs to n/8 bytes: a shorter key sorts faster
-    rows = np.packbits(arr[:valid], axis=1) if q == 2 else np.ascontiguousarray(arr[:valid])
-    keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    first = np.unique(keys, return_index=True)[1]
-    if first.size < valid:
-        repeat = np.ones(valid, dtype=bool)
-        repeat[first] = False
-        raise ValueError(f"duplicate codeword {tuple(arr[np.argmax(repeat)].tolist())}")
+    limbs = pack_bits(arr[:valid]) if q == 2 else arr[:valid].T
+    keys = np.sort(_row_keys(limbs, 2**64 if q == 2 else q))
+    if (keys[1:] == keys[:-1]).any():
+        first = np.unique(limbs.T, axis=0, return_index=True)[1]  # exact, row by row
+        if first.size < valid:
+            repeat = np.setdiff1d(np.arange(valid), first)[0]
+            raise ValueError(f"duplicate codeword {tuple(arr[repeat].tolist())}")
     if valid < len(raw):
         raise ValueError(_first_fault(raw[valid : valid + 1], n, q))
     arr.setflags(write=False)
+    _packing.last = arr, limbs
     return arr
 
 
@@ -165,10 +184,11 @@ class Code:
     integer tuples or a ``Words``; it is kept as a ``Words`` row view of
     ``array``.  A ``Words`` of that dtype is adopted: its array becomes
     ``array``, uncopied and made read-only.  Other input is copied, so an
-    array given stays writable.  A binary code also derives ``packed``, its
-    words as uint64 bit limbs, from ``array`` on first use and caches it.
-    ``sepcode.verify`` keeps a code's reduction and join profile on it the
-    same way, once made (10.0 MB at q = 100); ``==`` and ``hash`` ignore both.
+    array given stays writable.  Validation sorts one 64-bit key per word, a
+    binary one's from ``packed``, its uint64 bit limbs, kept read-only: about
+    0.2 ms at q = 100, 1.5 ms for its composition.  ``sepcode.verify`` keeps a
+    code's reduction and join profile on it once made (10.0 MB at q = 100);
+    ``==`` and ``hash`` ignore all three.
     """
 
     n: int
@@ -189,6 +209,10 @@ class Code:
         arr = _code_array(self.words, self.n, self.q)
         object.__setattr__(self, "array", arr)
         object.__setattr__(self, "words", Words(arr))
+        last, limbs = vars(_packing).pop("last", (None, None))
+        if self.q == 2:  # validation's limbs; packed afresh only if ``_code_array`` was replaced
+            object.__setattr__(self, "_packed", limbs if last is arr else pack_bits(arr))
+            self._packed.setflags(write=False)
 
     @classmethod
     def from_words(cls, words: Iterable[Sequence[int]], q: int | None = None) -> "Code":
@@ -204,14 +228,12 @@ class Code:
             q = max(2, 1 + max(max(w) for w in tup))
         return cls(n=len(tup[0]), M=len(tup), q=q, words=tup)
 
-    @cached_property
+    @property
     def packed(self) -> np.ndarray:
-        """``pack_bits(array)`` of a binary code: derived on first use, read-only, cached."""
+        """``pack_bits(array)`` of a binary code, made by validation, read-only."""
         if self.q != 2:
             raise ValueError("bit packing requires a binary code")
-        packed = pack_bits(self.array)
-        packed.setflags(write=False)
-        return packed
+        return self._packed
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, type(self)):

@@ -17,8 +17,8 @@ preconditions the accused set is still reported, alongside the overflow
 verdict when it is too large.
 
 Both tracers filter on the code's bit-packed words (``Code.packed``, each
-word ceil(n/64) uint64 limbs, derived from the (M, n) array on the first
-trace and cached).  R becomes two limb vectors, a mask of its pinned
+word ceil(n/64) uint64 limbs, made once by the code's validation, about
+0.9 ms at q = 100).  R becomes two limb vectors, a mask of its pinned
 positions and their pinned bits, and a word is a candidate when its limbs
 ANDed with the mask equal the bits: a few integer operations per word,
 whatever the number of pins.  The strongly-separable tracer then makes one

@@ -73,7 +73,7 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .codes import Code, Word, captured_indices, descendant, hamming, shortened
+from .codes import Code, Word, captured_indices, descendant, hamming
 
 # symbol comparisons above which a per-coalition scan is refused: about half a
 # minute of a holding t = 3 is_ssc (4e7 a second on a 2-vCPU Intel Xeon)
@@ -460,8 +460,9 @@ def _join_profile(code: Code) -> Optional[list[tuple[np.ndarray, np.ndarray]]]:
         target = np.where(s + 1 >> np.arange(n)[:, None] & 1, -1, np.take(cols, c, axis=1))
         keep = (np.take(cols, i, axis=1) != np.take(target, local, axis=1)).all(axis=0) & (i < j)
         found.append((i * (2 * m - i - 1) // 2 + j - i - 1)[keep])
+    del ids, keys, order, bounds, sizes, head, start, size, skip, members, mirror, work, cells
     ranks = np.concatenate(found)
-    found.clear()  # freed before the count, which then peaks lower
+    found.clear()  # freed, like the grouping arrays, before the count, which then peaks lower
     ranks.sort()
     heads = np.flatnonzero(np.diff(ranks, prepend=-1, append=-1))  # each run's start, and the end
     counts = np.diff(heads)
@@ -710,25 +711,27 @@ def shortened_sc_check(code: Code) -> Verdict:
 
     Holds iff, at every position, any two shortened codes (one per symbol)
     share at most one length-2 word.  Equals ``is_sc(code, 2)`` for n=3.
+    One sort a position groups the codewords by shortened word, then symbol;
+    any two words of a group give a pair (g1, g2) sharing that word, and the
+    least pair given twice is the first failure in (position, g1, g2) order.
     """
     if code.n != 3:
         raise ValueError("shortened-code criterion is defined for length-3 codes only")
     for position in range(3):
-        # an absent symbol's shortened code is empty and shares nothing
-        symbols = np.unique(code.array[:, position]).tolist()
-        cache = {g: shortened(code, position, g) for g in symbols}
-        for k, g1 in enumerate(symbols):
-            for g2 in symbols[k + 1 :]:
-                shared = cache[g1] & cache[g2]
-                if len(shared) > 1:
-                    return Verdict(
-                        False,
-                        OverlapWitness(
-                            position=position,
-                            symbols=(g1, g2),
-                            shared=tuple(sorted(shared)),
-                        ),
-                    )
+        symbol, rest = code.array[:, position], np.delete(code.array, position, axis=1)
+        order = np.lexsort((symbol, rest[:, 1], rest[:, 0]))
+        symbol, rest = symbol[order], rest[order]
+        bounds = np.flatnonzero(np.r_[True, (rest[1:] != rest[:-1]).any(axis=1), True])
+        later = np.repeat(bounds[1:], np.diff(bounds)) - np.arange(code.M) - 1  # in its group
+        first = np.repeat(np.arange(code.M), later)
+        second = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(later) - later, later)
+        g1, g2 = symbol[first], symbol[second]
+        by = np.lexsort((g2, g1))
+        again = np.flatnonzero((np.diff(g1[by]) == 0) & (np.diff(g2[by]) == 0))
+        if again.size:
+            pair = int(g1[by[again[0]]]), int(g2[by[again[0]]])
+            shared = sorted(map(tuple, rest[first[(g1 == pair[0]) & (g2 == pair[1])]].tolist()))
+            return Verdict(False, OverlapWitness(position, pair, tuple(shared)))
     return Verdict(True)
 
 

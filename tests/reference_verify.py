@@ -4,7 +4,8 @@ Each body is the library's earlier implementation, kept word for word: one
 ``captured_indices`` (or ``descendant``) call per coalition, scanned in
 lexicographic order, with the earlier t cap (``max_t``), the frozenset
 forbidden patterns, the feasible-set fingerprint and the int64 word array
-(``words_array``) as local helpers.
+(``words_array``) as local helpers, and the shortened-code check's frozenset
+intersections of every two symbols' shortened codes at each position.
 The equivalence tests require the engine-backed verifiers in
 ``sepcode.verify`` to return equal Verdicts, witnesses included.
 """
@@ -23,12 +24,14 @@ from sepcode.codes import (
     captured_indices,
     descendant,
     hamming,
+    shortened,
 )
 from sepcode.verify import (
     AmbiguityWitness,
     CollisionWitness,
     ForbiddenPatternWitness,
     FramingWitness,
+    OverlapWitness,
     Verdict,
     index_subsets_lex,
 )
@@ -194,3 +197,30 @@ def desc_cap_bound(code: Code) -> int:
     for pair in combinations(range(code.M), 2):
         best = max(best, len(captured_indices(arr, pair)))
     return best
+
+
+def shortened_sc_check(code: Code) -> Verdict:
+    """Length-3 2-separability criterion via shortened-code overlaps.
+
+    Holds iff, at every position, any two shortened codes (one per symbol)
+    share at most one length-2 word.  Equals ``is_sc(code, 2)`` for n=3.
+    """
+    if code.n != 3:
+        raise ValueError("shortened-code criterion is defined for length-3 codes only")
+    for position in range(3):
+        # an absent symbol's shortened code is empty and shares nothing
+        symbols = np.unique(code.array[:, position]).tolist()
+        cache = {g: shortened(code, position, g) for g in symbols}
+        for k, g1 in enumerate(symbols):
+            for g2 in symbols[k + 1 :]:
+                shared = cache[g1] & cache[g2]
+                if len(shared) > 1:
+                    return Verdict(
+                        False,
+                        OverlapWitness(
+                            position=position,
+                            symbols=(g1, g2),
+                            shared=tuple(sorted(shared)),
+                        ),
+                    )
+    return Verdict(True)

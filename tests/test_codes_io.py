@@ -487,3 +487,71 @@ def test_the_first_faulty_codeword_is_reported(rows, message: str) -> None:
     with pytest.raises(ValueError) as err:
         Code(n=2, M=len(rows), q=2, words=words)
     assert str(err.value) == message
+
+
+def constant_keys(columns: np.ndarray, radix: int) -> np.ndarray:
+    """A key function under which every row repeats every other."""
+    return np.zeros(columns.shape[1], np.uint64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(q=st.sampled_from([2, 3, 256, 2**40]), n=st.integers(1, 17), data=st.data())
+def test_validation_confirms_every_repeated_key_on_the_rows(q: int, n: int, data) -> None:
+    symbol = st.sampled_from([0, 1, 0, 1, q - 1, -1, q])
+    rows = data.draw(st.lists(st.lists(symbol, min_size=n, max_size=n), min_size=1, max_size=8))
+    words = np.array(rows, dtype=np.int64)
+    with mock.patch.object(codes, "_row_keys", constant_keys):
+        assert validated(codes._code_array, words, n, q) == validated(ref.code_array, words, n, q)
+
+
+@st.composite
+def long_codes(draw) -> tuple[np.ndarray, int, int]:
+    """Rows past one 64-bit key: binary n of 65-200, or q-ary with q^n > 2^64;
+    drawn from a few base rows, so that repeats and near-repeats are common."""
+    q = draw(st.sampled_from([2, 3, 256, 2**40]))
+    low = {2: 65, 3: 41, 256: 9, 2**40: 2}[q]
+    n = draw(st.integers(low, max(200 if q == 2 else 60, low)))
+    base = np.array(draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n)), np.int64)
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        row = base.copy()
+        for at in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+            row[at] = draw(st.sampled_from([0, q - 1, q]))
+        rows.append(row)
+    return np.array(rows), n, q
+
+
+@settings(max_examples=200, deadline=None)
+@given(long_codes())
+def test_validation_past_a_64_bit_key_equals_reference(drawn) -> None:
+    words, n, q = drawn
+    assert validated(codes._code_array, words, n, q) == validated(ref.code_array, words, n, q)
+
+
+def test_the_q100_codes_validate_without_confirming_a_repeat() -> None:
+    q_ary = build_length3(100, optimal_s(100).s)
+    for code in (q_ary, one_hot_compose(q_ary)):
+        with mock.patch.object(np, "unique", wraps=np.unique) as unique:
+            assert Code(code.n, code.M, code.q, code.words) == code
+            assert unique.call_count == 0
+            with mock.patch.object(codes, "_row_keys", constant_keys):
+                Code(code.n, code.M, code.q, code.words)
+            assert unique.call_count == 1  # a constant key is confirmed, once
+
+
+@pytest.mark.parametrize("build", ["read_code_file", "parse_code_text", "one_hot_compose"])
+def test_binary_codes_are_packed_once_by_validation(tmp_path, build: str) -> None:
+    source = build_length3(4, 1)
+    text = format_code_text(one_hot_compose(source))
+    path = tmp_path / "code"
+    path.write_text(text)
+    make = {
+        "read_code_file": lambda: codes.read_code_file(path),
+        "parse_code_text": lambda: parse_code_text(text),
+        "one_hot_compose": lambda: one_hot_compose(source),
+    }[build]
+    with mock.patch.object(codes, "pack_bits", wraps=codes.pack_bits) as pack:
+        code = make()
+        packed = code.packed
+        assert pack.call_count == 1 and code.packed is packed
+    assert np.array_equal(packed, codes.pack_bits(code.array)) and not packed.flags.writeable

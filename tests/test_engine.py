@@ -23,6 +23,7 @@ setting runs on a fresh copy of the code, which computes its own.
 from __future__ import annotations
 
 import random
+import tracemalloc
 import weakref
 from collections import Counter
 from contextlib import ExitStack, contextmanager
@@ -38,7 +39,7 @@ import reference_verify as ref
 from conftest import ZERO_PLUS_UNITS, ZERO_UNITS_ONES, brute_captured, random_code
 from sepcode import verify
 from sepcode.codes import Code, captured_indices
-from sepcode.construct import build_length3, one_hot_compose
+from sepcode.construct import build_length3, one_hot_compose, optimal_s
 
 
 @contextmanager
@@ -493,3 +494,16 @@ def test_kept_and_fresh_code_verdicts_and_stats_are_equal(code, compose) -> None
 
     kept = outcomes(lambda: code)
     assert outcomes(lambda: code) == kept == outcomes(lambda: fresh(code))
+
+
+def test_the_join_frees_its_grouping_arrays_before_its_count() -> None:
+    code = build_length3(100, optimal_s(100).s)
+    tracemalloc.start()
+    try:
+        assert verify.capture_stats(code).max_capture == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 31.0 MB measured with numpy 2.4.6, plus a 2.5 MB margin; holding the
+    # grouping arrays through the count peaked at 37.0 MB
+    assert peak <= 33.5e6

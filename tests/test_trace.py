@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from conftest import ZERO_PLUS_UNITS, random_code
+from sepcode import codes, trace
 from sepcode.codes import Code, FeasibleSet, parse_feasible_line
 from sepcode.construct import build_length3, one_hot_compose
 from sepcode.trace import coalition_feasible_set, lacc_identify, ssc_trace
@@ -239,3 +241,14 @@ def test_packing_requires_binary_code() -> None:
     ternary = Code.from_words([(0, 1), (2, 0)], q=3)
     with pytest.raises(ValueError, match="binary"):
         ternary.packed
+
+
+def test_each_tracer_packs_only_the_two_rows_of_r() -> None:
+    code = one_hot_compose(build_length3(4, 1))
+    feasible = coalition_feasible_set(code, (0, 5))
+    for tracer in (ssc_trace, lacc_identify):
+        with mock.patch.object(codes, "pack_bits", wraps=codes.pack_bits) as lazy, \
+                mock.patch.object(trace, "pack_bits", wraps=trace.pack_bits) as filtered:
+            tracer(code, feasible, 2)
+        assert lazy.call_count == 0
+        assert [call.args[0].shape for call in filtered.call_args_list] == [(2, code.n)]

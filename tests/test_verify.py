@@ -6,7 +6,10 @@ from itertools import product
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_verify as ref
 from conftest import (
     ZERO_PLUS_UNITS,
     ZERO_UNITS_ONES,
@@ -399,3 +402,19 @@ def test_verdict_shape_is_enforced() -> None:
         Verdict(True, FramingWitness((0,), 1, (0, 1)))
     with pytest.raises(ValueError):
         Verdict(False, None)
+
+
+@st.composite
+def length3_codes(draw) -> Code:
+    """Length-3 codes over few or very many symbols, drawn from a few values
+    per position so that shortened codes often share two words or more."""
+    q = draw(st.sampled_from([2, 3, 4, 10**6, 2**40]))
+    symbol = st.sampled_from(sorted({0, 1, 2 % q, q - 1}))
+    words = draw(st.lists(st.tuples(symbol, symbol, symbol), min_size=1, max_size=20, unique=True))
+    return Code.from_words(words, q=q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(length3_codes())
+def test_shortened_check_equals_reference(code: Code) -> None:
+    assert shortened_sc_check(code) == ref.shortened_sc_check(code)
