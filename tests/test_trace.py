@@ -247,8 +247,10 @@ def test_each_tracer_packs_only_the_two_rows_of_r() -> None:
     code = one_hot_compose(build_length3(4, 1))
     feasible = coalition_feasible_set(code, (0, 5))
     for tracer in (ssc_trace, lacc_identify):
-        with mock.patch.object(codes, "pack_bits", wraps=codes.pack_bits) as lazy, \
-                mock.patch.object(trace, "pack_bits", wraps=trace.pack_bits) as filtered:
+        with (
+            mock.patch.object(codes, "pack_bits", wraps=codes.pack_bits) as repacked,
+            mock.patch.object(trace, "pack_bits", wraps=trace.pack_bits) as filtered,
+        ):
             tracer(code, feasible, 2)
-        assert lazy.call_count == 0
+        assert repacked.call_count == 0
         assert [call.args[0].shape for call in filtered.call_args_list] == [(2, code.n)]
