@@ -187,9 +187,7 @@ class Code:
     array given stays writable.  Validation sorts one 64-bit key per word, a
     binary one's from ``packed``, its uint64 bit limbs, kept read-only: about
     0.2 ms at q = 100, 1.5 ms for its composition.  ``sepcode.verify`` keeps a
-    code's reduction and join profile on it once made (10.0 MB at q = 100);
-    ``==`` and ``hash`` ignore all three.
-    """
+    capture profile on it (10.0 MB at q = 100); ``==`` and ``hash`` ignore both."""
 
     n: int
     M: int

@@ -24,7 +24,6 @@ from .codes import BINARY_SETS, FeasibleSet
 
 GRAM_TOLERANCE = 1e-9
 _PIVOT_FLOOR = 1e-12
-_MAX_BASIS_ATTEMPTS = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,8 +53,8 @@ class DetectionStatistics:
         return len(self.values)
 
 
-def _orthonormalize(rows: np.ndarray) -> np.ndarray | None:
-    """Gram-Schmidt basis of the rows, by QR; None on a tiny pivot.
+def _orthonormalize(rows: np.ndarray) -> np.ndarray:
+    """Gram-Schmidt basis of the rows, by QR; refused on a tiny pivot.
 
     Rows of Q^T with the signs of diag(R) made positive are exactly what
     Gram-Schmidt would produce, and |R_ii| is the norm of row i's component
@@ -64,7 +63,7 @@ def _orthonormalize(rows: np.ndarray) -> np.ndarray | None:
     q, r = np.linalg.qr(rows.T)
     pivots = np.diag(r)
     if np.min(np.abs(pivots)) < _PIVOT_FLOOR:
-        return None
+        raise RuntimeError("the basis draw hit a degenerate pivot")
     return np.ascontiguousarray((q * np.sign(pivots)).T)
 
 
@@ -76,8 +75,7 @@ def _gram_defect(basis: np.ndarray) -> float:
 def make_context(dim: int, n: int, alpha: float, seed: int) -> EmbeddingContext:
     """Seeded context: random host signal and orthonormalized random basis.
 
-    Deterministic for a fixed seed.  Draws are retried with fresh randomness
-    if orthonormalization hits a degenerate pivot.
+    Deterministic for a fixed seed.  A draw with a tiny pivot (probability 0) is refused.
     """
     if n < 1:
         raise ValueError("need at least one basis signal")
@@ -87,14 +85,7 @@ def make_context(dim: int, n: int, alpha: float, seed: int) -> EmbeddingContext:
         raise ValueError(f"embedding strength alpha must be positive and finite, got {alpha}")
     rng = np.random.default_rng(seed)
     host = rng.standard_normal(dim)
-    basis = None
-    for _ in range(_MAX_BASIS_ATTEMPTS):
-        candidate = _orthonormalize(rng.standard_normal((n, dim)))
-        if candidate is not None:
-            basis = candidate
-            break
-    if basis is None:
-        raise RuntimeError("could not draw a non-degenerate basis")
+    basis = _orthonormalize(rng.standard_normal((n, dim)))
     if _gram_defect(basis) >= GRAM_TOLERANCE:
         raise RuntimeError("basis failed to orthonormalize within tolerance")
     basis.setflags(write=False)

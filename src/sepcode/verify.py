@@ -57,11 +57,10 @@ then relabelled by rank, so no alphabet exceeds M and no scan pays for
 the declared q.  The profile, the captured sets and the work limit run on
 the reduced code, whose captured sets are those of the code as given; the
 tests on each coalition, ``shortened_sc_check`` and the oracle
-``is_ssc_naive`` read the code as given.  The reduction and the join's
-profile are made once per ``Code`` and kept on it, as ``Code.packed`` is:
-at q = 100 the profile holds 1.1M int64 ranks and uint8 counts, 10.0 MB.
-The pair engine streams and keeps nothing, so it still stops at the first
-witness.
+``is_ssc_naive`` read the code as given.  Each ``Code`` keeps, like ``Code.packed``,
+its reduction, the join's chunks (10.0 MB at q = 100) and the histogram of a
+complete walk, read by a decider no pair can fail.  The pair engine streams its
+chunks: a failing walk stops at its witness and keeps nothing.
 """
 
 from __future__ import annotations
@@ -280,14 +279,23 @@ def _reduce(code: Code) -> Code:
     return Code(n=words.shape[1], M=code.M, q=q, words=words)
 
 
-def _reduced(code: Code) -> Code:
-    """``_reduce(code)``, kept in the instance's ``__dict__`` as ``Code.packed``
-    is, so it dies with the code; a code reduced to itself keeps None, not a cycle."""
-    memo = vars(code)
-    if "_reduced" not in memo:
+@dataclass(eq=False)
+class _Profile:
+    """What the scans keep in a ``Code``'s ``__dict__``: ``_reduce(code)`` (None for
+    the code itself, not a cycle), the t = 2 ``backend``, the join's ``chunks`` and
+    the histogram, as ``stats``, once a walk has tallied every pair."""
+
+    reduced: Optional[Code]
+    backend: Optional[str] = None
+    chunks: Optional[list[tuple[np.ndarray, np.ndarray]]] = None
+    stats: Optional[CaptureStats] = None
+
+
+def _profile_of(code: Code) -> _Profile:
+    if "_profile" not in vars(code):
         reduced = _reduce(code)
-        memo["_reduced"] = None if reduced is code else reduced
-    return code if memo["_reduced"] is None else memo["_reduced"]
+        vars(code)["_profile"] = _Profile(None if reduced is code else reduced)
+    return vars(code)["_profile"]
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +423,7 @@ def _pair_profile(code: Code) -> Iterator[tuple[np.ndarray, np.ndarray]]:
 
 
 def _join_profile(code: Code) -> Optional[list[tuple[np.ndarray, np.ndarray]]]:
-    """The profile from the join, in one read-only chunk, or None past its triple limit.
+    """The join's profile, in read-only chunks of ``_BLOCK_ELEMS``, or None past its triple limit.
 
     ``ids[s]`` numbers the codewords' projections onto the positions of
     bitmask s, each below M.  Sorting the keys s * M + ids[s] for every
@@ -470,15 +478,8 @@ def _join_profile(code: Code) -> Optional[list[tuple[np.ndarray, np.ndarray]]]:
     ranks = ranks[heads[:-1]]
     for kept in (ranks, counts):
         kept.setflags(write=False)
-    return [(ranks, counts)]
-
-
-def _joined(code: Code) -> Optional[list[tuple[np.ndarray, np.ndarray]]]:
-    """The join's profile of a reduced code, kept as ``_reduced`` is; None for the pair engine."""
-    memo = vars(code)
-    if "_joined" not in memo:
-        memo["_joined"] = _join_profile(code) if 2**code.n <= code.M else None
-    return memo["_joined"]
+    return [(ranks[lo : lo + _BLOCK_ELEMS], counts[lo : lo + _BLOCK_ELEMS])
+            for lo in range(0, max(ranks.size, 1), _BLOCK_ELEMS)]
 
 
 def _scan(
@@ -496,7 +497,8 @@ def _scan(
     none when ``test`` is None.  The witness must re-check on the code given.
     """
     _validate_t(t)
-    given, code = code, _reduced(code)
+    given, kept = code, _profile_of(code)
+    code = given if kept.reduced is None else kept.reduced
     arr, m = code.array, code.M
     witness, stats = None, None
     if t > 2:
@@ -504,8 +506,15 @@ def _scan(
         witness = next(filter(None, tests), None)
     else:
         pairs = m * (m - 1) // 2  # every pair up to the failing one, if any
+        if kept.backend is None:
+            kept.chunks = _join_profile(code) if 2**code.n <= m else None
+            kept.backend = "pairs" if kept.chunks is None else "join"
+            if kept.chunks is not None:  # the join's histogram, kept by one complete walk
+                _scan(given, 2, None)
+        if kept.stats is not None and (test is None or least > kept.stats.max_capture):
+            return Verdict(True, None, kept.stats)  # no pair captures enough to fail
         histogram = np.zeros(max(m + 1, 3), dtype=np.int64)  # pairs by captured-set size
-        for ranks, counts in _joined(code) or _pair_profile(code):
+        for ranks, counts in _pair_profile(code) if kept.chunks is None else kept.chunks:
             for r in (np.flatnonzero(counts >= least) if test else ranks[:0]).tolist():
                 pair = tuple(x.item() for x in _pairs_at(m, ranks[r : r + 1]))
                 witness = test(pair, captured_indices(arr, pair))
@@ -520,6 +529,8 @@ def _scan(
         sizes = np.flatnonzero(histogram)
         stats = CaptureStats(pairs, tuple(zip(sizes.tolist(), histogram[sizes].tolist())),
                              int(sizes.max(initial=1)))
+        if witness is None:  # a complete walk: its histogram is the code's
+            kept.stats = stats
     if witness is not None and not _witness_holds(given, witness):
         raise RuntimeError(f"{witness} does not re-check on the code")
     return Verdict(witness is None, witness, stats)

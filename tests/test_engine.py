@@ -16,8 +16,9 @@ two paths.  Wide codes, whose alphabet product passes 2^64, have no key and
 take the whole-code scan in every setting.  Failing verdicts carry the
 stats of the pairs up to their witness, which every setting must repeat.
 
-A code keeps its reduction and its join profile once computed, so each
-setting runs on a fresh copy of the code, which computes its own.
+A code keeps its reduction, its join profile and its histogram once
+computed, so each setting runs on a fresh copy of the code, which computes
+its own.
 """
 
 from __future__ import annotations
@@ -444,9 +445,11 @@ def test_an_equal_code_computes_its_own_profile() -> None:
         assert verify.capture_stats(twin) == stats
         assert verify.capture_stats(code) == stats
     assert (reduce.call_count, join.call_count) == (1, 1)
-    # the profile is read-only and its counts take the smallest unsigned dtype
-    ((ranks, counts),) = verify._joined(code)
-    assert counts.dtype == np.uint8 and not ranks.flags.writeable and not counts.flags.writeable
+    # the kept chunks are read-only and their counts take the smallest unsigned dtype
+    kept = vars(code)["_profile"]
+    assert kept.backend == "join" and kept.stats == stats
+    for ranks, counts in kept.chunks:
+        assert counts.dtype == np.uint8 and not ranks.flags.writeable and not counts.flags.writeable
 
 
 def test_kept_values_die_with_their_code() -> None:
@@ -478,6 +481,84 @@ def test_the_pair_engine_still_stops_at_its_first_witness() -> None:
             verdict = verify.is_fpc(code, 2)
             assert verdict.witness == verify.FramingWitness((0, 1), 2, (0, 1, 2))
     assert len(pulled) == 2 and pulled[0] < code.M * (code.M - 1) // 2
+
+
+def test_the_pair_engine_keeps_the_histogram_of_a_complete_walk() -> None:
+    rng = random.Random(20261020)
+    u, v = (tuple(rng.randint(0, 1) for _ in range(60)) for _ in range(2))
+    head = [u, v, u[:30] + v[30:]]  # {0, 1} frames word 2
+    words = set(head)
+    while len(words) < 200:
+        words.add(tuple(rng.randint(0, 1) for _ in range(60)))
+    code = Code.from_words(head + sorted(words - set(head)))  # 2^60 > 200: the pair engine
+    blocks, pulled = verify._capture_blocks, []
+
+    def counting(index):
+        for block in blocks(index):
+            pulled.append(block[2].size)
+            yield block
+
+    with mock.patch.object(verify, "_capture_blocks", counting):
+        assert not verify.is_fpc(code, 2).holds
+        assert len(pulled) == 1  # a failing walk keeps nothing
+        held = verify.is_ssc(code, 2)
+        assert held.holds and sum(pulled[1:]) == code.M * (code.M - 1) // 2
+        walked = len(pulled)
+        for name in ("is_sc", "capture_stats", "is_ssc"):
+            verdict = T2_ENTRY_POINTS[name](code)
+            assert getattr(verdict, "stats", verdict) == held.stats, name
+        assert len(pulled) == walked
+        assert not verify.is_fpc(code, 2).holds and len(pulled) == walked + 1  # its own block
+    assert held.stats == verify.capture_stats(fresh(code))
+
+
+def test_holding_deciders_after_the_first_neither_join_nor_inspect_a_pair() -> None:
+    q_ary = build_length3(12, 3)
+    for code, names in ((q_ary, sorted(T2_ENTRY_POINTS)), (one_hot_compose(q_ary), ANY_LENGTH)):
+        with counted("_join_profile", "captured_indices") as (join, inspect):
+            assert not verify.is_fpc(code, 2).holds
+            first = (join.call_count, inspect.call_count)
+            for _ in range(2):
+                for name in names:
+                    if name != "is_fpc":
+                        T2_ENTRY_POINTS[name](code)
+        assert first[0] == 1 and (join.call_count, inspect.call_count) == first, code.n
+
+
+def test_a_failing_walk_of_the_kept_join_stops_in_its_first_chunk() -> None:
+    code = build_length3(100, optimal_s(100).s)
+    assert verify.capture_stats(code).max_capture == 3
+    kept, pulled = vars(code)["_profile"], []
+
+    class Counting(list):
+        def __iter__(self):
+            for chunk in super().__iter__():
+                pulled.append(chunk[1].size)
+                yield chunk
+
+    sizes = [counts.size for _, counts in kept.chunks]
+    assert len(sizes) > 1 and max(sizes) == verify._BLOCK_ELEMS
+    kept.chunks = Counting(kept.chunks)
+    verdict = verify.is_fpc(code, 2)
+    assert verdict.witness == verify.FramingWitness((0, 75), 5625, (0, 75, 5625))
+    assert verdict.stats == verify.CaptureStats(75, ((2, 74), (3, 1)), 3)
+    assert pulled == [verify._BLOCK_ELEMS]  # its candidates are listed one chunk at a time
+
+
+@settings(max_examples=100, deadline=None)
+@given(codes(), st.booleans(), st.data())
+def test_deciders_in_any_order_failing_first_repeat_a_fresh_code(code, compose, data) -> None:
+    code = one_hot_compose(code) if compose else code
+    names = data.draw(st.permutations(sorted(T2_ENTRY_POINTS) if code.n == 3 else ANY_LENGTH))
+    for kind in ("dense", "pairs", "join"):
+        with engine_setting(kind):
+            want = {name: T2_ENTRY_POINTS[name](fresh(code)) for name in names}
+            kept = fresh(code)
+            # failing verdicts first: none may leave its partial histogram behind
+            for name in sorted(names, key=lambda name: getattr(want[name], "holds", True)):
+                got = T2_ENTRY_POINTS[name](kept)
+                assert got == want[name], (kind, name)
+                assert getattr(got, "stats", None) == getattr(want[name], "stats", None), (kind, name)
 
 
 @settings(max_examples=100, deadline=None)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -71,6 +72,21 @@ def test_context_basis_is_gram_schmidt_of_the_seeded_draw() -> None:
             expected.append(v / np.linalg.norm(v))
         basis = make_context(dim, n, 0.1, seed).basis
         assert np.max(np.abs(basis - np.array(expected))) < 1e-12
+
+
+def test_a_draw_with_a_tiny_pivot_is_refused_without_a_redraw() -> None:
+    qr, draws = np.linalg.qr, []
+
+    def tiny_pivot(a):
+        draws.append(a.shape)
+        q, r = qr(a)
+        r[-1, -1] = 1e-13
+        return q, r
+
+    with mock.patch.object(np.linalg, "qr", tiny_pivot):
+        with pytest.raises(RuntimeError, match="degenerate pivot"):
+            make_context(8, 3, 0.1, 7)
+    assert draws == [(8, 3)]
 
 
 def test_context_arrays_are_read_only() -> None:
