@@ -32,10 +32,8 @@ from .construct import build_length3, one_hot_compose, optimal_s, size_defect
 from .simulate import averaging_attack, correlate, embed, make_context, threshold
 from .trace import TraceReport, lacc_identify, ssc_trace
 from .verify import (
-    AmbiguityWitness,
     CaptureStats,
     CollisionWitness,
-    ForbiddenPatternWitness,
     FramingWitness,
     Verdict,
     is_fpc,
@@ -77,25 +75,11 @@ def _witness_json(witness) -> dict | None:
             "first": _labels(witness.first),
             "second": _labels(witness.second),
         }
-    if isinstance(witness, AmbiguityWitness):
-        return {
-            "kind": "coalition-ambiguity",
-            "coalition": _labels(witness.coalition),
-            "alternative": _labels(witness.alternative),
-        }
-    if isinstance(witness, ForbiddenPatternWitness):
-        return {
-            "kind": "forbidden-pattern",
-            "pair": _labels(witness.pair),
-            "pattern": witness.pattern,
-            "matched": _labels(witness.matched),
-        }
-    # the Witness union is closed: what is left is an OverlapWitness
+    # the deciders ``verify`` runs return no other kind: what is left is an AmbiguityWitness
     return {
-        "kind": "shortened-overlap",
-        "position": witness.position + 1,
-        "symbols": list(witness.symbols),
-        "shared": [list(w) for w in witness.shared],
+        "kind": "coalition-ambiguity",
+        "coalition": _labels(witness.coalition),
+        "alternative": _labels(witness.alternative),
     }
 
 

@@ -17,7 +17,6 @@ materialized as word lists except through the bounded enumeration helper.
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Iterable, Iterator, Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -35,8 +34,6 @@ _ITER_BLOCK = 1024
 # characters of code-file text tokenized per numpy step; blocks are cut
 # after a newline, so a line longer than this makes its block longer
 _PARSE_BLOCK = 1 << 18
-# where ``_code_array`` leaves the array it validated, with a binary one's limbs
-_packing = threading.local()
 
 
 class CodeFormatError(ValueError):
@@ -126,13 +123,14 @@ def _row_keys(columns: np.ndarray, radix: int) -> np.ndarray:
     return keys
 
 
-def _code_array(words, n: int, q: int) -> np.ndarray:
-    """The words as a validated, read-only (M, n) array of ``_symbol_dtype(q)``.
+def _code_array(words, n: int, q: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """The words as a validated, read-only (M, n) array of ``_symbol_dtype(q)``,
+    with the ``pack_bits`` limbs it packed of a binary code (None for q > 2).
 
     Faults are reported for the first faulty codeword in order: wrong
     length, then a symbol outside the alphabet, then a repeat of an
     earlier codeword.  Repeats are sorted out on ``_row_keys``, of a binary
-    row's ``pack_bits`` limbs (kept as ``Code.packed``), and confirmed on the rows.
+    row's limbs (kept as ``Code.packed``), and confirmed on the rows.
     """
     dtype = _symbol_dtype(q)
     try:
@@ -156,8 +154,7 @@ def _code_array(words, n: int, q: int) -> np.ndarray:
     if valid < len(raw):
         raise ValueError(_first_fault(raw[valid : valid + 1], n, q))
     arr.setflags(write=False)
-    _packing.last = arr, limbs
-    return arr
+    return arr, limbs if q == 2 else None
 
 
 def pack_bits(rows: np.ndarray) -> np.ndarray:
@@ -204,13 +201,12 @@ class Code:
             raise ValueError("code must contain at least one codeword")
         if len(self.words) != self.M:
             raise ValueError(f"M={self.M} does not match {len(self.words)} codewords")
-        arr = _code_array(self.words, self.n, self.q)
+        arr, limbs = _code_array(self.words, self.n, self.q)
         object.__setattr__(self, "array", arr)
         object.__setattr__(self, "words", Words(arr))
-        last, limbs = vars(_packing).pop("last", (None, None))
-        if self.q == 2:  # validation's limbs; packed afresh only if ``_code_array`` was replaced
-            object.__setattr__(self, "_packed", limbs if last is arr else pack_bits(arr))
-            self._packed.setflags(write=False)
+        if self.q == 2:
+            limbs.setflags(write=False)
+            object.__setattr__(self, "_packed", limbs)
 
     @classmethod
     def from_words(cls, words: Iterable[Sequence[int]], q: int | None = None) -> "Code":
@@ -223,7 +219,7 @@ class Code:
         if not tup:
             raise ValueError("code must contain at least one codeword")
         if q is None:
-            q = max(2, 1 + max(max(w) for w in tup))
+            q = max(2, 1 + max(max(w, default=0) for w in tup))
         return cls(n=len(tup[0]), M=len(tup), q=q, words=tup)
 
     @property

@@ -58,9 +58,10 @@ the declared q.  The profile, the captured sets and the work limit run on
 the reduced code, whose captured sets are those of the code as given; the
 tests on each coalition, ``shortened_sc_check`` and the oracle
 ``is_ssc_naive`` read the code as given.  Each ``Code`` keeps, like ``Code.packed``,
-its reduction, the join's chunks (10.0 MB at q = 100) and the histogram of a
-complete walk, read by a decider no pair can fail.  The pair engine streams its
-chunks: a failing walk stops at its witness and keeps nothing.
+its reduction, the join's chunks (10.0 MB at q = 100) and the histogram of its
+first complete walk, from either backend, read by a decider no pair can fail.  A
+failing walk stops at its witness and keeps no histogram; the pair engine streams
+its chunks.
 """
 
 from __future__ import annotations
@@ -509,8 +510,6 @@ def _scan(
         if kept.backend is None:
             kept.chunks = _join_profile(code) if 2**code.n <= m else None
             kept.backend = "pairs" if kept.chunks is None else "join"
-            if kept.chunks is not None:  # the join's histogram, kept by one complete walk
-                _scan(given, 2, None)
         if kept.stats is not None and (test is None or least > kept.stats.max_capture):
             return Verdict(True, None, kept.stats)  # no pair captures enough to fail
         histogram = np.zeros(max(m + 1, 3), dtype=np.int64)  # pairs by captured-set size

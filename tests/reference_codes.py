@@ -8,8 +8,9 @@ one ``str.join`` per codeword; a range mask over every symbol and one
 unpacked row per duplicate key.  The equivalence tests require
 ``sepcode.codes.parse_code_text`` to return an equal Code or raise the same
 CodeFormatError message on the same line, ``format_code_text`` to return
-the same text, and ``_code_array`` to return the same array or raise the
-same message.
+the same text, and ``_code_array`` to return the same array, with
+``pack_bits`` of it for a binary code (the one line added to the old
+validator), or raise the same message.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from sepcode.codes import (
     Words,
     _first_fault,
     _symbol_dtype,
+    pack_bits,
 )
 
 
@@ -83,8 +85,9 @@ def format_code_text(code: Code) -> str:
     return "\n".join(lines) + "\n"
 
 
-def code_array(words, n: int, q: int) -> np.ndarray:
-    """The words as a validated, read-only (M, n) array of ``_symbol_dtype(q)``.
+def code_array(words, n: int, q: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """The words as a validated, read-only (M, n) array of ``_symbol_dtype(q)``,
+    with a binary code's ``pack_bits`` limbs (None for q > 2).
 
     Faults are reported for the first faulty codeword in order: wrong
     length, then a symbol outside the alphabet, then a repeat of an
@@ -111,4 +114,4 @@ def code_array(words, n: int, q: int) -> np.ndarray:
     if outside.size:
         raise ValueError(_first_fault(raw[valid : valid + 1], n, q))
     arr.setflags(write=False)
-    return arr
+    return arr, pack_bits(arr) if q == 2 else None

@@ -31,6 +31,14 @@ def ones_file(tmp_path: Path) -> str:
     return str(path)
 
 
+@pytest.fixture
+def square_file(tmp_path: Path) -> str:
+    """All four binary words of length 2: {1, 4} and {2, 3} share a descendant."""
+    path = tmp_path / "square.code"
+    path.write_text("2 4 2\n0 0\n0 1\n1 0\n1 1\n")
+    return str(path)
+
+
 # ----------------------------------------------------------------- construct
 
 
@@ -102,6 +110,12 @@ def test_verify_json_carries_engine_stats(units_file, capsys) -> None:
 
 def test_verify_sc_holds(ones_file) -> None:
     assert main(["verify", ones_file, "--property", "sc", "--t", "2"]) == EXIT_OK
+
+
+def test_verify_sc_fails_with_a_descendant_collision(square_file, capsys) -> None:
+    assert main(["verify", square_file, "--property", "sc", "--json"]) == EXIT_FAIL
+    witness = json.loads(capsys.readouterr().out)["result"]["witness"]
+    assert witness == {"kind": "descendant-collision", "first": [1, 4], "second": [2, 3]}
 
 
 def test_verify_with_oracle_flag(ones_file) -> None:
@@ -249,10 +263,8 @@ def test_simulate_rejects_a_non_finite_alpha(units_file, capsys) -> None:
         assert "alpha" in captured.err
 
 
-def test_simulate_then_trace_prints_none_when_nobody_is_accused(tmp_path, capsys) -> None:
-    square = tmp_path / "square.code"
-    square.write_text(format_code_text(Code.from_words([(0, 0), (0, 1), (1, 0), (1, 1)])))
-    rc = main(["simulate", str(square), "--colluders", "1,4", "--then-trace"])
+def test_simulate_then_trace_prints_none_when_nobody_is_accused(square_file, capsys) -> None:
+    rc = main(["simulate", square_file, "--colluders", "1,4", "--then-trace"])
     assert rc == EXIT_OK
     assert capsys.readouterr().out.splitlines()[1:] == [
         "R = **",
@@ -265,6 +277,8 @@ def test_simulate_rejects_bad_colluders(units_file, capsys) -> None:
     assert main(["simulate", units_file, "--colluders", "a,b"]) == EXIT_USAGE
     assert main(["simulate", units_file, "--colluders", "2,2"]) == EXIT_USAGE
     assert "colluder 2 is listed twice" in capsys.readouterr().err
+    assert main(["simulate", units_file, "--colluders", ","]) == EXIT_USAGE
+    assert "at least one colluder is required" in capsys.readouterr().err
 
 
 def test_simulate_requires_a_code_file(capsys) -> None:

@@ -244,6 +244,24 @@ def test_code_rejects_tiny_alphabet_and_empty_input() -> None:
         Code.from_words([])
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Code(n=0, M=1, q=2, words=((),)), "code length must be at least 1"),
+        (lambda: Code.from_words([()]), "code length must be at least 1"),
+        (lambda: Code(n=2, M=0, q=2, words=()), "code must contain at least one codeword"),
+        (lambda: Code(n=2, M=3, q=2, words=((0, 0), (0, 1))), "M=3 does not match 2 codewords"),
+        (lambda: FeasibleSet(()), "feasible set needs at least one position"),
+        (lambda: fs({0}, set()), "empty symbol set at position 1"),
+    ],
+    ids=["n=0", "empty word", "M=0", "M unequal to the words", "no position", "empty position"],
+)
+def test_argument_errors(make, message: str) -> None:
+    with pytest.raises(ValueError) as err:
+        make()
+    assert str(err.value) == message
+
+
 def test_code_infers_alphabet_from_symbols() -> None:
     code = Code.from_words([(0, 3)])
     assert code.q == 4

@@ -358,7 +358,7 @@ def test_every_parse_path_hands_code_its_rows(text: str) -> None:
     handed = []
     validate = codes._code_array
 
-    def spy(words, n: int, q: int) -> np.ndarray:
+    def spy(words, n: int, q: int) -> tuple[np.ndarray, np.ndarray | None]:
         handed.append(words)
         return validate(words, n, q)
 
@@ -453,12 +453,13 @@ def test_a_code_file_is_mapped_for_the_parse_alone(tmp_path) -> None:
 
 
 def validated(check, words, n: int, q: int):
-    """The validated array in full, or the ValueError's message."""
+    """The validated array in full with a binary code's limbs, or the ValueError's message."""
     try:
-        arr = check(words, n, q)
+        arr, limbs = check(words, n, q)
     except ValueError as exc:
         return "error", str(exc)
-    return "array", arr.dtype, arr.tolist(), arr.flags.writeable
+    packed = None if limbs is None else limbs.tolist()
+    return "array", arr.dtype, arr.tolist(), arr.flags.writeable, packed
 
 
 @settings(max_examples=300, deadline=None)

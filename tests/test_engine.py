@@ -16,9 +16,9 @@ two paths.  Wide codes, whose alphabet product passes 2^64, have no key and
 take the whole-code scan in every setting.  Failing verdicts carry the
 stats of the pairs up to their witness, which every setting must repeat.
 
-A code keeps its reduction, its join profile and its histogram once
-computed, so each setting runs on a fresh copy of the code, which computes
-its own.
+A code keeps its reduction, its join profile and the histogram of its first
+complete walk under either backend, so each setting runs on a fresh copy of
+the code, which computes its own.
 """
 
 from __future__ import annotations
@@ -525,24 +525,50 @@ def test_holding_deciders_after_the_first_neither_join_nor_inspect_a_pair() -> N
         assert first[0] == 1 and (join.call_count, inspect.call_count) == first, code.n
 
 
+class CountedChunks(list):
+    """The join's chunks, recording the size of each one a walk pulls in ``pulled``."""
+
+    def __init__(self, chunks, pulled: list[int]):
+        super().__init__(chunks)
+        self.pulled = pulled
+
+    def __iter__(self):
+        for chunk in super().__iter__():
+            self.pulled.append(chunk[1].size)
+            yield chunk
+
+
 def test_a_failing_walk_of_the_kept_join_stops_in_its_first_chunk() -> None:
     code = build_length3(100, optimal_s(100).s)
     assert verify.capture_stats(code).max_capture == 3
     kept, pulled = vars(code)["_profile"], []
-
-    class Counting(list):
-        def __iter__(self):
-            for chunk in super().__iter__():
-                pulled.append(chunk[1].size)
-                yield chunk
-
     sizes = [counts.size for _, counts in kept.chunks]
     assert len(sizes) > 1 and max(sizes) == verify._BLOCK_ELEMS
-    kept.chunks = Counting(kept.chunks)
+    kept.chunks = CountedChunks(kept.chunks, pulled)
     verdict = verify.is_fpc(code, 2)
     assert verdict.witness == verify.FramingWitness((0, 75), 5625, (0, 75, 5625))
     assert verdict.stats == verify.CaptureStats(75, ((2, 74), (3, 1)), 3)
     assert pulled == [verify._BLOCK_ELEMS]  # its candidates are listed one chunk at a time
+
+
+def test_the_join_keeps_the_histogram_of_its_first_complete_walk() -> None:
+    code, pulled, join = build_length3(100, optimal_s(100).s), [], verify._join_profile
+
+    def counted_join(reduced: Code) -> CountedChunks:
+        return CountedChunks(join(reduced), pulled)
+
+    with mock.patch.object(verify, "_join_profile", counted_join):
+        assert not verify.is_fpc(code, 2).holds
+        kept = vars(code)["_profile"]
+        # the failing walk stops in the first of the 34 chunks and keeps no histogram
+        assert (len(kept.chunks), len(pulled), kept.stats) == (34, 1, None)
+        held = verify.is_ssc(code, 2)
+        assert held.holds and len(pulled) == 1 + 34 and kept.stats == held.stats
+        for name in ("is_sc", "capture_stats", "is_ssc"):
+            verdict = T2_ENTRY_POINTS[name](code)
+            assert getattr(verdict, "stats", verdict) == held.stats, name
+        assert len(pulled) == 1 + 34
+    assert held.stats == verify.capture_stats(fresh(code))
 
 
 @settings(max_examples=100, deadline=None)
