@@ -2,13 +2,14 @@
 
 Subcommands: construct, verify, trace, simulate, compose.  Exit codes:
 0 success or property holds, 1 property fails, 2 tracer overflow, 64 usage
-error, 65 malformed code file.  Handlers return their exit code, report
-inputs, report result and human lines; ``main`` alone wraps them in the run
-report, emits it, and maps errors to exit codes: ``CodeFormatError`` to 65,
-and ``ValueError`` or ``OSError`` to 64.  Codeword labels are 1-based on
-the command line (library internals are 0-based).  Reports serialize to a
-single JSON document with sorted keys, so identical arguments and seed
-give byte-identical output.
+error, 65 malformed code file, 70 internal error.  Handlers return their
+exit code, report inputs, report result and human lines; ``main`` alone
+wraps them in the run report, emits it, and maps errors to exit codes:
+``CodeFormatError`` to 65, ``ValueError`` or ``OSError`` to 64, and
+``MemoryError`` or ``RuntimeError`` to 70, so no crash reads as exit 1.
+Codeword labels are 1-based on the command line (library internals are
+0-based).  Reports serialize to a single JSON document with sorted keys, so
+identical arguments and seed give byte-identical output.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ EXIT_FAIL = 1
 EXIT_OVERFLOW = 2
 EXIT_USAGE = 64
 EXIT_PARSE = 65
+EXIT_INTERNAL = 70  # EX_SOFTWARE
 
 
 class _Parser(argparse.ArgumentParser):
@@ -355,6 +357,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"sepcode: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except (MemoryError, RuntimeError) as exc:
+        print(f"sepcode: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -184,7 +184,8 @@ class Code:
     array given stays writable.  Validation sorts one 64-bit key per word, a
     binary one's from ``packed``, its uint64 bit limbs, kept read-only: about
     0.2 ms at q = 100, 1.5 ms for its composition.  ``sepcode.verify`` keeps a
-    capture profile on it (10.0 MB at q = 100); ``==`` and ``hash`` ignore both."""
+    capture profile on it, with its reduced words as an array, not a second
+    ``Code`` (10.0 MB at q = 100); ``==`` and ``hash`` ignore both."""
 
     n: int
     M: int

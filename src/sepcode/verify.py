@@ -54,14 +54,15 @@ codeword lies in desc(S) on the run iff some member of S holds its slot,
 because its 1 must come from someone.  So a one-hot composition verifies
 at the cost of its q-ary source, for every t.  Each position's symbols are
 then relabelled by rank, so no alphabet exceeds M and no scan pays for
-the declared q.  The profile, the captured sets and the work limit run on
-the reduced code, whose captured sets are those of the code as given; the
-tests on each coalition, ``shortened_sc_check`` and the oracle
-``is_ssc_naive`` read the code as given.  Each ``Code`` keeps, like ``Code.packed``,
-its reduction, the join's chunks (10.0 MB at q = 100) and the histogram of its
-first complete walk, from either backend, read by a decider no pair can fail.  A
-failing walk stops at its witness and keeps no histogram; the pair engine streams
-its chunks.
+the declared q.  The reduction is a read-only (M, n') array, the code's own
+``array`` when nothing changes, and no second ``Code``.  The profile, the
+captured sets and the work limit run on it, and its captured sets are those
+of the code as given; the tests on each coalition, ``shortened_sc_check``
+and the oracle ``is_ssc_naive`` read the code as given.  Each ``Code``
+keeps, like ``Code.packed``, its reduced array, the join's chunks (10.0 MB
+at q = 100) and the histogram of its first complete walk, from either
+backend, read by a decider no pair can fail.  A failing walk stops at its
+witness and keeps no histogram; the pair engine streams its chunks.
 """
 
 from __future__ import annotations
@@ -202,18 +203,18 @@ def _validate_t(t: int) -> None:
         raise ValueError("t must be at least 2")
 
 
-def _coalitions(code: Code, t: int) -> Iterator[tuple[int, ...]]:
-    """Every coalition of at most t codewords, for a per-coalition scan.
+def _coalitions(words: np.ndarray, t: int) -> Iterator[tuple[int, ...]]:
+    """Every coalition of at most t of the (M, n) ``words``, for a per-coalition scan.
 
     Each is compared symbol by symbol with the whole code: in all, sum over
     k <= t of C(M, k) * M * n comparisons, refused above ``_WORK_LIMIT``.
     """
-    work = 0
-    for k in range(1, min(t, code.M) + 1):
-        work += comb(code.M, k) * code.M * code.n
+    (m, n), work = words.shape, 0
+    for k in range(1, min(t, m) + 1):
+        work += comb(m, k) * m * n
         if work > _WORK_LIMIT:
-            raise ValueError(f"t={t} on M={code.M}, n={code.n}: over {_WORK_LIMIT:,} comparisons")
-    return index_subsets_lex(code.M, t)
+            raise ValueError(f"t={t} on M={m}, n={n}: over {_WORK_LIMIT:,} comparisons")
+    return index_subsets_lex(m, t)
 
 
 def index_subsets_lex(count: int, max_size: int) -> Iterator[tuple[int, ...]]:
@@ -237,22 +238,21 @@ def index_subsets_lex(count: int, max_size: int) -> Iterator[tuple[int, ...]]:
 def _one_hot_runs(columns: np.ndarray) -> list[np.ndarray]:
     """A binary code's columns (rows of ``columns``), each one-hot run merged.
 
-    A left-to-right scan opens a run at each column.  The run can only close
-    at the first column by which every codeword has held a 1, and closes
-    there iff no codeword holds two; it then becomes the column of each
+    A left-to-right scan opens a run at each column.  No column is constant,
+    so the running count of 1s rises at every column, and the run can only
+    close where that count has grown by M: there iff each codeword holds one
+    of those 1s, an O(M) count.  It then becomes the column of each
     codeword's slot of its 1.  A column that opens no closing run stays.
     """
     n, m = columns.shape
-    # last[c]: the column by which every codeword holds a 1 from c on (n if never)
-    first_one, last = np.full(m, n), [n] * n
-    for c in range(n - 1, -1, -1):
-        first_one[columns[c] == 1] = c
-        last[c] = int(first_one.max())
-    ones = np.concatenate(([0], np.cumsum(columns.sum(axis=1)))).tolist()
+    at, rows = np.divmod(np.flatnonzero(columns), m)  # every 1, in column order
+    ones = np.searchsorted(at, np.arange(n + 1))  # the 1s before each column
+    stops = np.searchsorted(ones, ones + m).tolist()  # where each run's count reaches M
+    ones = ones.tolist()
     merged, start = [], 0
     while start < n:
-        stop = last[start] + 1
-        if stop <= n and ones[stop] - ones[start] == m:  # one 1 per codeword
+        stop = stops[start]
+        if stop <= n and (np.bincount(rows[ones[start] : ones[stop]], minlength=m) == 1).all():
             merged.append(columns[start:stop].argmax(axis=0))
             start = stop
         else:
@@ -261,12 +261,13 @@ def _one_hot_runs(columns: np.ndarray) -> list[np.ndarray]:
     return merged
 
 
-def _reduce(code: Code) -> Code:
-    """The code cut down to what decides its captured sets; indices are kept.
+def _reduce(code: Code) -> np.ndarray:
+    """The code's words cut down to what decides its captured sets; indices are kept.
 
     Drops constant columns (a 1-word code keeps one), merges the one-hot
     runs of a binary code into q-ary positions, and relabels each position's
-    symbols by rank, to 0..k-1.  Returns ``code`` itself when nothing changes.
+    symbols by rank, to 0..k-1.  Returns the read-only (M, n') array in the
+    smallest unsigned dtype, or ``code.array`` itself when nothing changes.
     """
     arr = code.array
     varies = (arr != arr[0]).any(axis=0)
@@ -274,29 +275,23 @@ def _reduce(code: Code) -> Code:
     kept = arr.T[varies]
     columns = _one_hot_runs(kept) if code.q == 2 else list(kept)
     words = np.stack([np.unique(col, return_inverse=True)[1] for col in columns], axis=1)
-    q = max(2, int(words.max()) + 1)
-    if q == code.q and np.array_equal(words, arr):
-        return code
-    return Code(n=words.shape[1], M=code.M, q=q, words=words)
+    if np.array_equal(words, arr):
+        return arr
+    words = words.astype(np.min_scalar_type(words.max()))
+    words.setflags(write=False)
+    return words
 
 
 @dataclass(eq=False)
 class _Profile:
-    """What the scans keep in a ``Code``'s ``__dict__``: ``_reduce(code)`` (None for
-    the code itself, not a cycle), the t = 2 ``backend``, the join's ``chunks`` and
-    the histogram, as ``stats``, once a walk has tallied every pair."""
+    """What the scans keep in a ``Code``'s ``__dict__``: the ``_reduce``d ``words``,
+    the t = 2 ``backend``, the join's ``chunks`` and the histogram, as ``stats``,
+    once a walk has tallied every pair."""
 
-    reduced: Optional[Code]
+    words: np.ndarray
     backend: Optional[str] = None
     chunks: Optional[list[tuple[np.ndarray, np.ndarray]]] = None
     stats: Optional[CaptureStats] = None
-
-
-def _profile_of(code: Code) -> _Profile:
-    if "_profile" not in vars(code):
-        reduced = _reduce(code)
-        vars(code)["_profile"] = _Profile(None if reduced is code else reduced)
-    return vars(code)["_profile"]
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +300,7 @@ def _profile_of(code: Code) -> _Profile:
 
 
 class _WordIndex:
-    """The code's words under one exact additive per-position key.
+    """The (M, n) ``words`` under one exact additive per-position key.
 
     Position p's alphabet has k_p = max + 1 symbols, and ``terms[c, p]`` is
     codeword c's symbol there times the mixed-radix place value, the product
@@ -321,8 +316,8 @@ class _WordIndex:
     ``keys`` is unused.
     """
 
-    def __init__(self, code: Code):
-        self.words = code.array
+    def __init__(self, words: np.ndarray):
+        self.words = words
         sizes = self.words.max(axis=0).astype(np.uint64) + 1
         span = prod(sizes.tolist())
         self.keyed = span <= 2**64
@@ -334,7 +329,7 @@ class _WordIndex:
         self.keys = self.terms.sum(axis=1)
         if self.dense:
             self.table = np.full(span, -1, dtype=np.int32)
-            self.table[self.keys] = np.arange(code.M)
+            self.table[self.keys] = np.arange(len(words))
         elif self.keyed:
             self.order = np.argsort(self.keys)
             self.ranked = self.keys[self.order]
@@ -402,28 +397,18 @@ def _capture_counts(
     return counts
 
 
-def _capture_blocks(
-    index: _WordIndex,
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The pair engine: (i, j, |desc({i, j}) ∩ C|) over every pair i < j, in blocks."""
-    m, n = index.words.shape
+def _pair_profile(words: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The pair engine's profile over every pair i < j, one chunk per block of pairs."""
+    index, (m, n) = _WordIndex(words), words.shape
     total = m * (m - 1) // 2
     step = max(1, _BLOCK_ELEMS // n)
     for start in range(0, total, step):
-        first, second = _pairs_at(m, np.arange(start, min(start + step, total)))
-        yield first, second, _capture_counts(index, first, second)
-
-
-def _pair_profile(code: Code) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The profile from the pair engine, one chunk per block of pairs."""
-    start = 0
-    for _, _, counts in _capture_blocks(_WordIndex(code)):
+        counts = _capture_counts(index, *_pairs_at(m, np.arange(start, min(start + step, total))))
         big = np.flatnonzero(counts > 2)
         yield start + big, counts[big]
-        start += counts.size
 
 
-def _join_profile(code: Code) -> Optional[list[tuple[np.ndarray, np.ndarray]]]:
+def _join_profile(words: np.ndarray) -> Optional[list[tuple[np.ndarray, np.ndarray]]]:
     """The join's profile, in read-only chunks of ``_BLOCK_ELEMS``, or None past its triple limit.
 
     ``ids[s]`` numbers the codewords' projections onto the positions of
@@ -434,8 +419,8 @@ def _join_profile(code: Code) -> Optional[list[tuple[np.ndarray, np.ndarray]]]:
     c * S + S - s holds c's group on the complement.  The kept ranks are
     sorted in place and counted by runs; counts take the smallest unsigned dtype.
     """
-    m, n = code.array.shape
-    full, cols = 2**n - 1, code.array.T.astype(np.int64)
+    m, n = words.shape
+    full, cols = 2**n - 1, words.T.astype(np.int64)
     ids = np.zeros((full, m), np.int64)
     for s in range(1, full):  # s's lowest position added to the rest of s
         low = (s & -s).bit_length() - 1
@@ -492,31 +477,32 @@ def _scan(
     """First coalition, lexicographically, for which ``test`` finds a witness.
 
     ``test(coalition, captured)`` sees the coalition's sorted captured set
-    from ``captured_indices`` on the reduced code, the same as on the code as
-    given: for t >= 3 every coalition, for t = 2 the profile's pairs that
+    from ``captured_indices`` on the reduced words, the same as on the code
+    as given: for t >= 3 every coalition, for t = 2 the profile's pairs that
     capture at least ``least`` codewords (no other fails the tests here), or
     none when ``test`` is None.  The witness must re-check on the code given.
     """
     _validate_t(t)
-    given, kept = code, _profile_of(code)
-    code = given if kept.reduced is None else kept.reduced
-    arr, m = code.array, code.M
-    witness, stats = None, None
+    if "_profile" not in vars(code):
+        vars(code)["_profile"] = _Profile(_reduce(code))
+    kept = vars(code)["_profile"]
+    words, witness, stats = kept.words, None, None
+    m, n = words.shape
     if t > 2:
-        tests = (test(c, captured_indices(arr, c)) for c in _coalitions(code, t))
+        tests = (test(c, captured_indices(words, c)) for c in _coalitions(words, t))
         witness = next(filter(None, tests), None)
     else:
         pairs = m * (m - 1) // 2  # every pair up to the failing one, if any
         if kept.backend is None:
-            kept.chunks = _join_profile(code) if 2**code.n <= m else None
+            kept.chunks = _join_profile(words) if 2**n <= m else None
             kept.backend = "pairs" if kept.chunks is None else "join"
         if kept.stats is not None and (test is None or least > kept.stats.max_capture):
             return Verdict(True, None, kept.stats)  # no pair captures enough to fail
         histogram = np.zeros(max(m + 1, 3), dtype=np.int64)  # pairs by captured-set size
-        for ranks, counts in _pair_profile(code) if kept.chunks is None else kept.chunks:
+        for ranks, counts in _pair_profile(words) if kept.chunks is None else kept.chunks:
             for r in (np.flatnonzero(counts >= least) if test else ranks[:0]).tolist():
                 pair = tuple(x.item() for x in _pairs_at(m, ranks[r : r + 1]))
-                witness = test(pair, captured_indices(arr, pair))
+                witness = test(pair, captured_indices(words, pair))
                 if witness is not None:
                     pairs, counts = int(ranks[r]) + 1, counts[: r + 1]
                     break
@@ -530,7 +516,7 @@ def _scan(
                              int(sizes.max(initial=1)))
         if witness is None:  # a complete walk: its histogram is the code's
             kept.stats = stats
-    if witness is not None and not _witness_holds(given, witness):
+    if witness is not None and not _witness_holds(code, witness):
         raise RuntimeError(f"{witness} does not re-check on the code")
     return Verdict(witness is None, witness, stats)
 
@@ -653,7 +639,7 @@ def is_ssc_naive(code: Code, t: int) -> Verdict:
     """
     _validate_t(t)
     work = 0
-    for coalition in _coalitions(code, t):
+    for coalition in _coalitions(code.array, t):
         target = descendant(code.words[i] for i in coalition)
         captured = captured_indices(code.array, coalition)
         work += len(captured) * 2 ** (len(captured) - 1) * code.n

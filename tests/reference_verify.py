@@ -8,6 +8,8 @@ forbidden patterns, the feasible-set fingerprint and the int64 word array
 intersections of every two symbols' shortened codes at each position.
 The equivalence tests require the engine-backed verifiers in
 ``sepcode.verify`` to return equal Verdicts, witnesses included.
+``one_hot_runs`` is the definition of the reduction's merged runs, which the
+library finds from the running count of 1s.
 """
 
 from __future__ import annotations
@@ -224,3 +226,23 @@ def shortened_sc_check(code: Code) -> Verdict:
                         ),
                     )
     return Verdict(True)
+
+
+def one_hot_runs(columns: np.ndarray) -> list[np.ndarray]:
+    """A binary code's columns (rows of ``columns``), each one-hot run merged.
+
+    From each start, the shortest run in which every codeword holds exactly
+    one 1 becomes the column of each codeword's slot of its 1; a start with
+    no such run keeps its single column.
+    """
+    merged, start = [], 0
+    while start < len(columns):
+        for stop in range(start + 1, len(columns) + 1):
+            if (columns[start:stop].sum(axis=0) == 1).all():
+                merged.append(columns[start:stop].argmax(axis=0))
+                start = stop
+                break
+        else:
+            merged.append(columns[start])
+            start += 1
+    return merged

@@ -2,12 +2,15 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from conftest import ZERO_PLUS_UNITS, ZERO_UNITS_ONES
+from sepcode import cli
 from sepcode.cli import (
     EXIT_FAIL,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_OVERFLOW,
     EXIT_PARSE,
@@ -166,6 +169,26 @@ def test_verify_undecodable_code_file_is_a_parse_error(tmp_path, capsys) -> None
     bad.write_bytes(b"3 1 2\n\xff 0 0\n")
     assert main(["verify", str(bad), "--property", "ssc"]) == EXIT_PARSE
     assert "line 2" in capsys.readouterr().err
+
+
+INTERNAL_ERRORS = {
+    # numpy's MemoryError for an array it cannot allocate, as for construct --q 1000000
+    "memory": ("_cmd_construct", ["construct", "--q", "7", "--out", "unused"],
+               MemoryError("Unable to allocate 24.6 TiB")),
+    # what verify raises for a witness that fails its re-check
+    "runtime": ("_cmd_verify", ["verify", "unused", "--property", "fpc"],
+                RuntimeError("witness does not re-check on the code")),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(INTERNAL_ERRORS))
+def test_internal_errors_exit_70_with_one_line(kind, capsys) -> None:
+    handler, args, error = INTERNAL_ERRORS[kind]
+    with mock.patch.object(cli, handler, side_effect=error):
+        assert main(args) == EXIT_INTERNAL
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"sepcode: internal error: {type(error).__name__}: {error}\n"
 
 
 # --------------------------------------------------------------------- trace

@@ -52,11 +52,11 @@ def engine_setting(kind: str):
     pairs, join = verify._pair_profile, verify._join_profile
     with ExitStack() as stack:
         if "pairs" in kinds:
-            stack.enter_context(mock.patch.object(verify, "_join_profile", lambda code: None))
+            stack.enter_context(mock.patch.object(verify, "_join_profile", lambda words: None))
         if "join" in kinds:
 
-            def forced(code: Code):  # the wide codes have too many position subsets
-                return (join if code.n <= 10 else pairs)(code)
+            def forced(words: np.ndarray):  # the wide codes have too many position subsets
+                return (join if words.shape[1] <= 10 else pairs)(words)
 
             stack.enter_context(mock.patch.object(verify, "_pair_profile", forced))
             stack.enter_context(mock.patch.object(verify, "_JOIN_TRIPLES_PER_PAIR", np.inf))
@@ -65,7 +65,7 @@ def engine_setting(kind: str):
         if "tiny-blocks" in kinds:
             stack.enter_context(mock.patch.object(verify, "_BLOCK_ELEMS", 7))
         if "unreduced" in kinds:
-            stack.enter_context(mock.patch.object(verify, "_reduce", lambda code: code))
+            stack.enter_context(mock.patch.object(verify, "_reduce", lambda code: code.array))
         yield
 
 
@@ -184,18 +184,15 @@ def test_capture_counts_equal_brute_oracle() -> None:
     for kind in ENGINE_SETTINGS:
         with engine_setting(kind):
             for code in fixtures:
-                seen = []
-                index = verify._WordIndex(code)
-                for first, second, counts in verify._capture_blocks(index):
-                    rows = zip(first.tolist(), second.tolist(), counts.tolist())
-                    for i, j, size in rows:
-                        assert size == len(brute_captured(code, (i, j)))
-                        seen.append((i, j))
+                first, second = verify._pairs_at(code.M, np.arange(code.M * (code.M - 1) // 2))
+                seen = list(zip(first.tolist(), second.tolist()))
                 assert seen == list(combinations(range(code.M), 2))
+                counts = verify._capture_counts(verify._WordIndex(code.array), first, second)
+                assert counts.tolist() == [len(brute_captured(code, pair)) for pair in seen]
 
 
-def _profile(backend, code: Code) -> tuple[list[int], list[int]]:
-    chunks = list(backend(code))
+def _profile(backend, words: np.ndarray) -> tuple[list[int], list[int]]:
+    chunks = list(backend(words))
     ranks = [r for rank, _ in chunks for r in rank.tolist()]
     return ranks, [c for _, count in chunks for c in count.tolist()]
 
@@ -209,7 +206,7 @@ def test_both_backends_give_the_profile_of_captured_sets(code) -> None:
     unlimited = mock.patch.object(verify, "_JOIN_TRIPLES_PER_PAIR", np.inf)
     for kind in ("dense", "tiny-blocks"):
         with engine_setting(kind), unlimited:  # the join past its triple limit too
-            for given_or_reduced in (code, verify._reduce(code)):
+            for given_or_reduced in (code.array, verify._reduce(code)):
                 assert _profile(verify._pair_profile, given_or_reduced) == want, kind
                 assert _profile(verify._join_profile, given_or_reduced) == want, kind
 
@@ -230,7 +227,7 @@ def test_edge_codes_under_both_backends(name) -> None:
     pairs = code.M * (code.M - 1) // 2
     want = verify.CaptureStats(pairs, ((2, pairs),) if pairs else (), 2 if pairs else 1)
     for backend in (verify._pair_profile, verify._join_profile):
-        assert _profile(backend, code) == _profile(backend, verify._reduce(code)) == ([], [])
+        assert _profile(backend, code.array) == _profile(backend, verify._reduce(code)) == ([], [])
     for kind in ENGINE_SETTINGS:
         with engine_setting(kind):
             assert verify.capture_stats(fresh(code)) == want, kind
@@ -280,8 +277,8 @@ def test_codes_at_the_edge_of_a_64_bit_key(name) -> None:
 
 
 def test_short_codes_take_the_join_and_long_ones_the_pair_engine() -> None:
-    def refuse(code: Code):
-        raise AssertionError(f"the other backend should take n={code.n}, M={code.M}")
+    def refuse(words: np.ndarray):
+        raise AssertionError(f"the other backend should take (M, n) = {words.shape}")
 
     q_ary = build_length3(12, 3)
     # the Fano plane's 21 (point, line) incidences: a length-2 code
@@ -345,9 +342,9 @@ def near_compositions(draw) -> Code:
 @given(near_compositions())
 def test_reduction_keeps_every_verdict_witness_and_stat(code) -> None:
     reduced = verify._reduce(code)
-    assert reduced.M == code.M and reduced.n <= code.n
+    assert reduced.shape[0] == code.M and reduced.shape[1] <= code.n
     for pair in combinations(range(code.M), 2):
-        assert captured_indices(reduced.array, pair) == captured_indices(code.array, pair)
+        assert captured_indices(reduced, pair) == captured_indices(code.array, pair)
     for t in (2, 3):
         for decide in (verify.is_fpc, verify.is_sc, verify.is_ssc):
             got = decide(code, t)
@@ -359,6 +356,34 @@ def test_reduction_keeps_every_verdict_witness_and_stat(code) -> None:
     assert verify.capture_stats(code) == want_stats
 
 
+@st.composite
+def column_mixtures(draw) -> np.ndarray:
+    """The columns (one a row) of a binary code: one-hot blocks, such blocks
+    with one bit flipped and random columns, in any order, constant ones dropped."""
+    m = draw(st.integers(2, 8))
+    kinds, blocks = st.sampled_from(("one-hot", "flipped", "random")), []
+    for kind in draw(st.lists(kinds, min_size=1, max_size=6)):
+        width = 1 if kind == "random" else draw(st.integers(1, 4))
+        block = np.zeros((width, m), np.uint8)
+        if kind == "random":
+            block[0] = draw(st.lists(st.integers(0, 1), min_size=m, max_size=m))
+        else:
+            slots = draw(st.lists(st.integers(0, width - 1), min_size=m, max_size=m))
+            block[slots, np.arange(m)] = 1
+        if kind == "flipped":
+            block[draw(st.integers(0, width - 1)), draw(st.integers(0, m - 1))] ^= 1
+        blocks.append(block)
+    columns = np.concatenate(blocks)
+    return columns[(columns != columns[:, :1]).any(axis=1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(column_mixtures())
+def test_one_hot_runs_follow_their_definition(columns) -> None:
+    got, want = verify._one_hot_runs(columns), ref.one_hot_runs(columns)
+    assert len(got) == len(want) and all(map(np.array_equal, got, want))
+
+
 IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
@@ -368,9 +393,9 @@ IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     ids=("weight-0", "weight-2"),
 )
 def test_a_near_one_hot_block_is_not_collapsed(broken) -> None:
-    assert verify._reduce(Code.from_words(IDENTITY)) == Code.from_words([(0,), (1,), (2,)])
+    assert np.array_equal(verify._reduce(Code.from_words(IDENTITY)), [[0], [1], [2]])
     reduced = verify._reduce(Code.from_words(broken))
-    assert reduced.n == 2
+    assert reduced.shape[1] == 2
     assert_matches_reference(Code.from_words(broken))
 
 
@@ -385,21 +410,21 @@ def test_a_near_one_hot_block_is_not_collapsed(broken) -> None:
 )
 def test_length3_criteria_on_binary_codes_whose_reduction_shortens_them(words) -> None:
     code = Code.from_words(words)
-    assert verify._reduce(code).n < 3
+    assert verify._reduce(code).shape[1] < 3
     assert_matches_reference(code)
 
 
 def test_reduction_of_trivial_and_irreducible_codes() -> None:
     single = Code.from_words([(0, 1, 0)])  # every column is constant
-    assert verify._reduce(single) == Code.from_words([(0,)], q=2)
+    assert np.array_equal(verify._reduce(single), [[0]])
     for t in (2, 3):
         for decide in (verify.is_fpc, verify.is_sc, verify.is_ssc):
             assert decide(single, t).holds
     assert verify.capture_stats(single).max_capture == 1
-    assert verify._reduce(ZERO_UNITS_ONES) is ZERO_UNITS_ONES
+    assert verify._reduce(ZERO_UNITS_ONES) is ZERO_UNITS_ONES.array
     q_ary = build_length3(12, 3)
-    assert verify._reduce(q_ary) is q_ary
-    assert verify._reduce(one_hot_compose(q_ary)) == q_ary
+    assert verify._reduce(q_ary) is q_ary.array
+    assert np.array_equal(verify._reduce(one_hot_compose(q_ary)), q_ary.array)
 
 
 # the t = 2 entry points, and those of them defined on codes of any length
@@ -433,6 +458,17 @@ def test_a_code_is_reduced_and_joined_once_for_every_t2_decider() -> None:
                     T2_ENTRY_POINTS[name](code)
             verify.is_ssc(code, 3)  # t = 3 reads the kept reduction too
         assert (reduce.call_count, join.call_count) == (1, 1), code.n
+
+
+def test_verify_builds_no_code() -> None:
+    q_ary = build_length3(12, 3)
+    for code in (fresh(q_ary), one_hot_compose(q_ary)):  # reduced to itself, and to q_ary
+        with mock.patch.object(verify, "Code", wraps=verify.Code) as built:
+            for t in (2, 3):
+                for decide in (verify.is_fpc, verify.is_sc, verify.is_ssc):
+                    decide(code, t)
+            verify.capture_stats(code)
+        assert built.call_count == 0, code.n
 
 
 def test_an_equal_code_computes_its_own_profile() -> None:
@@ -469,14 +505,13 @@ def test_the_pair_engine_still_stops_at_its_first_witness() -> None:
     while len(words) < 200:
         words.add(tuple(rng.randint(0, 1) for _ in range(40)))
     code = Code.from_words(head + sorted(words - set(head)))  # 2^40 > 200: the pair engine
-    blocks, pulled = verify._capture_blocks, []
+    counts, pulled = verify._capture_counts, []
 
-    def counting(index):
-        for block in blocks(index):
-            pulled.append(block[2].size)
-            yield block
+    def counting(index, first, second):  # one call per block of pairs
+        pulled.append(first.size)
+        return counts(index, first, second)
 
-    with mock.patch.object(verify, "_capture_blocks", counting):
+    with mock.patch.object(verify, "_capture_counts", counting):
         for _ in range(2):  # nothing is kept, so each scan pulls its own block
             verdict = verify.is_fpc(code, 2)
             assert verdict.witness == verify.FramingWitness((0, 1), 2, (0, 1, 2))
@@ -491,14 +526,13 @@ def test_the_pair_engine_keeps_the_histogram_of_a_complete_walk() -> None:
     while len(words) < 200:
         words.add(tuple(rng.randint(0, 1) for _ in range(60)))
     code = Code.from_words(head + sorted(words - set(head)))  # 2^60 > 200: the pair engine
-    blocks, pulled = verify._capture_blocks, []
+    counts, pulled = verify._capture_counts, []
 
-    def counting(index):
-        for block in blocks(index):
-            pulled.append(block[2].size)
-            yield block
+    def counting(index, first, second):  # one call per block of pairs
+        pulled.append(first.size)
+        return counts(index, first, second)
 
-    with mock.patch.object(verify, "_capture_blocks", counting):
+    with mock.patch.object(verify, "_capture_counts", counting):
         assert not verify.is_fpc(code, 2).holds
         assert len(pulled) == 1  # a failing walk keeps nothing
         held = verify.is_ssc(code, 2)
@@ -554,8 +588,8 @@ def test_a_failing_walk_of_the_kept_join_stops_in_its_first_chunk() -> None:
 def test_the_join_keeps_the_histogram_of_its_first_complete_walk() -> None:
     code, pulled, join = build_length3(100, optimal_s(100).s), [], verify._join_profile
 
-    def counted_join(reduced: Code) -> CountedChunks:
-        return CountedChunks(join(reduced), pulled)
+    def counted_join(words: np.ndarray) -> CountedChunks:
+        return CountedChunks(join(words), pulled)
 
     with mock.patch.object(verify, "_join_profile", counted_join):
         assert not verify.is_fpc(code, 2).holds

@@ -6,7 +6,7 @@ import re
 import shlex
 from pathlib import Path
 
-from sepcode.cli import EXIT_PARSE, EXIT_USAGE, main
+from sepcode.cli import EXIT_INTERNAL, EXIT_PARSE, EXIT_USAGE, main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 BLOCKS = re.findall(r"^```(\w*)\n(.*?)^```", README, flags=re.DOTALL | re.MULTILINE)
@@ -39,4 +39,4 @@ def test_command_lines_run(tmp_path, monkeypatch, capsys) -> None:
     monkeypatch.chdir(tmp_path)
     for argv in commands:
         rc = main(argv)
-        assert rc not in (EXIT_USAGE, EXIT_PARSE), (argv, capsys.readouterr().err)
+        assert rc not in (EXIT_USAGE, EXIT_PARSE, EXIT_INTERNAL), (argv, capsys.readouterr().err)
