@@ -34,6 +34,8 @@ _ITER_BLOCK = 1024
 # characters of code-file text tokenized per numpy step; blocks are cut
 # after a newline, so a line longer than this makes its block longer
 _PARSE_BLOCK = 1 << 18
+# splitmix64's finalizer steps, x ^= x >> shift then x *= factor, as uint64 scalars made once
+_SPLITMIX = tuple(zip(np.uint64([30, 27]), np.uint64([0xBF58476D1CE4E5B9, 0x94D049BB133111EB])))
 
 
 class CodeFormatError(ValueError):
@@ -107,25 +109,21 @@ def _first_fault(words, n: int, q: int) -> str:
     return "codewords must be integer sequences"
 
 
-def _row_keys(columns: np.ndarray, radix: int) -> np.ndarray:
-    """A uint64 key per word, its digits below ``radix`` down ``columns``: its exact mixed-radix
-    index up to radix ** len(columns) = 2**64, else a splitmix64 chain, which may collide."""
-    exact, keys = radix ** len(columns) <= 2**64, np.zeros(columns.shape[1], np.uint64)
+def _row_keys(columns: np.ndarray) -> np.ndarray:
+    """A uint64 key per word, its digits down ``columns``: a splitmix64 chain, which may collide."""
+    keys = np.zeros(columns.shape[1], np.uint64)
     for col in columns:
-        if exact:  # a radix of 2**64 comes with one column, added to the zero start
-            keys = keys * np.uint64(radix % 2**64) + col
-        else:
-            keys ^= col
-            for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
-                keys ^= keys >> np.uint64(shift)
-                keys *= np.uint64(factor)
-            keys ^= keys >> np.uint64(31)
+        keys ^= col
+        for shift, factor in _SPLITMIX:
+            keys ^= keys >> shift
+            keys *= factor
+        keys ^= keys >> np.uint64(31)
     return keys
 
 
 def _code_array(words, n: int, q: int) -> tuple[np.ndarray, np.ndarray | None]:
     """The words as a validated, read-only (M, n) array of ``_symbol_dtype(q)``,
-    with the ``pack_bits`` limbs it packed of a binary code (None for q > 2).
+    with the read-only ``pack_bits`` limbs it packed of a binary code (None for q > 2).
 
     Faults are reported for the first faulty codeword in order: wrong
     length, then a symbol outside the alphabet, then a repeat of an
@@ -145,7 +143,7 @@ def _code_array(words, n: int, q: int) -> tuple[np.ndarray, np.ndarray | None]:
     # a Words is adopted: another Code's words, or rows built for this Code
     arr = raw.astype(dtype, copy=not isinstance(words, Words))
     limbs = pack_bits(arr[:valid]) if q == 2 else arr[:valid].T
-    keys = np.sort(_row_keys(limbs, 2**64 if q == 2 else q))
+    keys = np.sort(_row_keys(limbs))
     if (keys[1:] == keys[:-1]).any():
         first = np.unique(limbs.T, axis=0, return_index=True)[1]  # exact, row by row
         if first.size < valid:
@@ -154,6 +152,7 @@ def _code_array(words, n: int, q: int) -> tuple[np.ndarray, np.ndarray | None]:
     if valid < len(raw):
         raise ValueError(_first_fault(raw[valid : valid + 1], n, q))
     arr.setflags(write=False)
+    limbs.setflags(write=False)
     return arr, limbs if q == 2 else None
 
 
@@ -181,11 +180,11 @@ class Code:
     integer tuples or a ``Words``; it is kept as a ``Words`` row view of
     ``array``.  A ``Words`` of that dtype is adopted: its array becomes
     ``array``, uncopied and made read-only.  Other input is copied, so an
-    array given stays writable.  Validation sorts one 64-bit key per word, a
-    binary one's from ``packed``, its uint64 bit limbs, kept read-only: about
-    0.2 ms at q = 100, 1.5 ms for its composition.  ``sepcode.verify`` keeps a
-    capture profile on it, with its reduced words as an array, not a second
-    ``Code`` (10.0 MB at q = 100); ``==`` and ``hash`` ignore both."""
+    array given stays writable.  Validation sorts one splitmix64 key per
+    word, a binary one's from ``packed``, its uint64 bit limbs, kept
+    read-only: about 0.2 ms at q = 100, 1.5 ms for its composition.  The
+    capture profile ``sepcode.verify`` keeps on it holds its reduced words
+    as an array (10.0 MB at q = 100); ``==`` and ``hash`` ignore both."""
 
     n: int
     M: int
@@ -202,12 +201,10 @@ class Code:
             raise ValueError("code must contain at least one codeword")
         if len(self.words) != self.M:
             raise ValueError(f"M={self.M} does not match {len(self.words)} codewords")
-        arr, limbs = _code_array(self.words, self.n, self.q)
+        arr, packed = _code_array(self.words, self.n, self.q)
         object.__setattr__(self, "array", arr)
         object.__setattr__(self, "words", Words(arr))
-        if self.q == 2:
-            limbs.setflags(write=False)
-            object.__setattr__(self, "_packed", limbs)
+        object.__setattr__(self, "_packed", packed)
 
     @classmethod
     def from_words(cls, words: Iterable[Sequence[int]], q: int | None = None) -> "Code":
@@ -308,10 +305,12 @@ def coalition_indices(code: Code, members: Iterable[int]) -> tuple[int, ...]:
 
 
 def captured_indices(arr: np.ndarray, members: Sequence[int]) -> list[int]:
-    """Indices of rows of ``arr`` lying in the descendant of the given rows."""
-    sub = arr[list(members)]
-    mask = (arr[:, None, :] == sub[None, :, :]).any(axis=1).all(axis=1)
-    return [int(i) for i in np.flatnonzero(mask)]
+    """Indices of rows of ``arr`` lying in the descendant of the given rows: each
+    member's matches are ORed into one (M, n) mask in turn, with no (M, k, n) temporary."""
+    mask = np.zeros(arr.shape, bool)
+    for i in members:
+        mask |= arr == arr[i]
+    return np.flatnonzero(mask.all(axis=1)).tolist()
 
 
 def desc_intersect_code(code: Code, coalition: Iterable[int]) -> frozenset[int]:
@@ -464,8 +463,7 @@ def _tokenize(data: bytes | mmap, pos: int, n: int, m: int, q: int) -> np.ndarra
         np.less(digits, 10, out=is_digit[1:-1])
         newlines = np.flatnonzero(block == _NEWLINE)
         separators = np.count_nonzero((block == _SPACE) | (block == _TAB)) + newlines.size
-        digit_count = np.count_nonzero(is_digit)
-        if digit_count + separators != block.size:
+        if np.count_nonzero(is_digit) + separators != block.size:
             return None
         starts = np.flatnonzero(is_digit[1:] > is_digit[:-1])
         if not starts.size:
@@ -476,16 +474,14 @@ def _tokenize(data: bytes | mmap, pos: int, n: int, m: int, q: int) -> np.ndarra
         lines += per_line.size
         if lines > m or (per_line != n).any():
             return None
-        values = digits[starts]
-        if digit_count > starts.size:  # some token has more than one digit
-            widths = np.flatnonzero(is_digit[:-1] > is_digit[1:]) - starts
-            longest = int(widths.max())
-            if longest > 18:
-                return None
-            values = values.astype(np.int64)
-            for k in range(1, longest):  # Horner steps; 18 digits stay below 2**63
-                more = widths > k
-                values[more] = values[more] * 10 + digits[starts[more] + k]
+        widths = np.flatnonzero(is_digit[:-1] > is_digit[1:]) - starts
+        longest = int(widths.max())
+        if longest > 18:
+            return None
+        values = digits[starts].astype(np.int64)
+        for k in range(1, longest):  # Horner steps; 18 digits stay below 2**63
+            more = widths > k
+            values[more] = values[more] * 10 + digits[starts[more] + k]
         if int(values.max()) >= q:
             return None
         out[filled : filled + values.size] = values
@@ -545,7 +541,7 @@ def parse_code_text(text: str) -> Code:
     Plain files are tokenized in numpy blocks; any other text, and every
     fault, is parsed line by line, which gives the message and the line.
     """
-    code = _parse_blocks(text.encode()) if text.isascii() else None
+    code = _parse_blocks(text.encode())
     return _parse_lines(text) if code is None else code
 
 
@@ -564,7 +560,7 @@ def _name_table(symbols: np.ndarray) -> np.ndarray:
 def _text_blocks(code: Code) -> Iterator[np.ndarray]:
     """The code's text as ASCII byte arrays: the header, then codeword rows per block."""
     yield np.frombuffer(f"{code.n} {code.M} {code.q}\n".encode(), np.uint8)
-    lo, hi = int(code.array.min()), int(code.array.max())
+    hi = int(code.array.max())
     if hi < 10:  # fixed-width rows "d d ... d\n"
         base = _row_base(code.n)
         for start in range(0, code.M, _ITER_BLOCK):
@@ -575,13 +571,11 @@ def _text_blocks(code: Code) -> Iterator[np.ndarray]:
     by_value = hi < code.array.size
     symbols = np.arange(hi + 1) if by_value else np.unique(code.array)
     table = _name_table(symbols)
-    padded = len(str(lo)) < len(str(hi))  # only names narrower than the widest are padded
     for start in range(0, code.M, _ITER_BLOCK):
         block = code.array[start : start + _ITER_BLOCK]
         cells = np.take(table, block if by_value else np.searchsorted(symbols, block), axis=0)
         cells[:, -1, -1] = _NEWLINE  # (rows, n, name width): the last space of a row
-        flat = cells.ravel()
-        yield flat[flat != 0] if padded else flat
+        yield cells[cells != 0]  # in row order, without the zero bytes padding narrower names
 
 
 def format_code_text(code: Code) -> str:

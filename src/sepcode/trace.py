@@ -70,19 +70,12 @@ def _require_binary(code: Code) -> None:
         raise ValueError("tracing requires a binary code")
 
 
-def _require_compatible(code: Code, feasible: FeasibleSet) -> np.ndarray:
-    """R's positions as ``binary_pins``; refuses a length mismatch or a non-binary R."""
-    if feasible.n != code.n:
-        raise ValueError(
-            f"feasible set has {feasible.n} positions, code has length {code.n}"
-        )
-    return binary_pins(feasible)
-
-
 def _candidates(code: Code, feasible: FeasibleSet, t: int) -> tuple[np.ndarray, int]:
     """Mask of the codewords matching every pinned position of R, and the pin count."""
     _require_binary(code)
-    pins = _require_compatible(code, feasible)
+    if feasible.n != code.n:
+        raise ValueError(f"feasible set has {feasible.n} positions, code has length {code.n}")
+    pins = binary_pins(feasible)
     if t < 1:
         raise ValueError("t must be at least 1")
     pinned = pins < 2

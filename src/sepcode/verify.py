@@ -386,10 +386,8 @@ def _capture_counts(
             rows = group[lo : lo + step]
             pair_first, pair_second = np.take(first, rows), np.take(second, rows)
             if mixed:
-                moves = np.take(delta, rows, axis=1)
-                if d < n:
-                    moves = moves.T[moves.T != 0].reshape(-1, d).T
-                counts[rows] += _mixed_hits(index, pair_first, moves)
+                moves = np.take(delta, rows, axis=1).T
+                counts[rows] += _mixed_hits(index, pair_first, moves[moves != 0].reshape(-1, d).T)
             else:
                 a, b = index.words[pair_first, None], index.words[pair_second, None]
                 inside = (index.words == a) | (index.words == b)
@@ -465,7 +463,7 @@ def _join_profile(words: np.ndarray) -> Optional[list[tuple[np.ndarray, np.ndarr
     for kept in (ranks, counts):
         kept.setflags(write=False)
     return [(ranks[lo : lo + _BLOCK_ELEMS], counts[lo : lo + _BLOCK_ELEMS])
-            for lo in range(0, max(ranks.size, 1), _BLOCK_ELEMS)]
+            for lo in range(0, ranks.size, _BLOCK_ELEMS)]
 
 
 def _scan(
@@ -479,8 +477,8 @@ def _scan(
     ``test(coalition, captured)`` sees the coalition's sorted captured set
     from ``captured_indices`` on the reduced words, the same as on the code
     as given: for t >= 3 every coalition, for t = 2 the profile's pairs that
-    capture at least ``least`` codewords (no other fails the tests here), or
-    none when ``test`` is None.  The witness must re-check on the code given.
+    capture at least ``least`` codewords (no other fails the tests here; at
+    ``least`` = M + 1 none).  The witness must re-check on the code given.
     """
     _validate_t(t)
     if "_profile" not in vars(code):
@@ -496,11 +494,11 @@ def _scan(
         if kept.backend is None:
             kept.chunks = _join_profile(words) if 2**n <= m else None
             kept.backend = "pairs" if kept.chunks is None else "join"
-        if kept.stats is not None and (test is None or least > kept.stats.max_capture):
+        if kept.stats is not None and least > kept.stats.max_capture:
             return Verdict(True, None, kept.stats)  # no pair captures enough to fail
         histogram = np.zeros(max(m + 1, 3), dtype=np.int64)  # pairs by captured-set size
         for ranks, counts in _pair_profile(words) if kept.chunks is None else kept.chunks:
-            for r in (np.flatnonzero(counts >= least) if test else ranks[:0]).tolist():
+            for r in np.flatnonzero(counts >= least):
                 pair = tuple(x.item() for x in _pairs_at(m, ranks[r : r + 1]))
                 witness = test(pair, captured_indices(words, pair))
                 if witness is not None:
@@ -523,7 +521,7 @@ def _scan(
 
 def capture_stats(code: Code) -> CaptureStats:
     """Captured-set size histogram over all pairs of the code (the profile's tally)."""
-    return _scan(code, 2, None).stats
+    return _scan(code, 2, None, least=code.M + 1).stats  # no pair captures M + 1
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,20 @@ included, and the same error on infeasible input.
 from __future__ import annotations
 
 from sepcode.codes import Code, FeasibleSet
-from sepcode.trace import TraceReport, _require_binary, _require_compatible
+from sepcode.trace import TraceReport
+
+
+def _require_traceable(code: Code, feasible: FeasibleSet, t: int) -> None:
+    """The tracers' guards, with their messages, in their order."""
+    if code.q != 2:
+        raise ValueError("tracing requires a binary code")
+    if feasible.n != code.n:
+        raise ValueError(f"feasible set has {feasible.n} positions, code has length {code.n}")
+    for j, allowed in enumerate(feasible.positions):
+        if not allowed <= {0, 1}:
+            raise ValueError(f"feasible set is not binary at position {j}")
+    if t < 1:
+        raise ValueError("t must be at least 1")
 
 
 def _pinned_rows(feasible: FeasibleSet) -> list[tuple[int, int]]:
@@ -32,10 +45,7 @@ def lacc_identify(code: Code, feasible: FeasibleSet, t: int) -> TraceReport:
     On a t-frameproof code with R produced by a coalition of at most t
     members, the accused set equals the coalition exactly.
     """
-    _require_binary(code)
-    _require_compatible(code, feasible)
-    if t < 1:
-        raise ValueError("t must be at least 1")
+    _require_traceable(code, feasible, t)
     words = code.words
     m = code.M
     ops = 0
@@ -64,10 +74,7 @@ def ssc_trace(code: Code, feasible: FeasibleSet, t: int) -> TraceReport:
     carries bit 0.  On a strongly t-separable code with R the descendant of
     a coalition of at most t members, the accused set equals the coalition.
     """
-    _require_binary(code)
-    _require_compatible(code, feasible)
-    if t < 1:
-        raise ValueError("t must be at least 1")
+    _require_traceable(code, feasible, t)
     words = code.words
     m = code.M
     ops = 0

@@ -19,6 +19,7 @@ from sepcode.codes import (
     CodeFormatError,
     FeasibleSet,
     Words,
+    captured_indices,
     desc_intersect_code,
     descendant,
     format_code_text,
@@ -147,6 +148,7 @@ def test_captured_matches_brute_oracle_on_both_kernel_paths() -> None:
         q=5,
     )
     for code in (small, big):
+        assert captured_indices(code.array, ()) == []
         for _ in range(15):
             size = rng.randint(1, min(3, code.M))
             coalition = tuple(rng.sample(range(code.M), size))

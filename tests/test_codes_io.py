@@ -303,6 +303,7 @@ def test_format_equals_reference_and_round_trips(code: Code, rows: int, block: i
     [
         (0, 9),  # names of one width
         (9, 10),  # two widths
+        (10, 99),  # two digits each
         (0, 10**12),
         (3, 10**17 + 1),  # sparse: the largest symbol is far above the code's size
         (0, 2**63 - 1),  # 19 digits, parsed back by the line parser
@@ -311,9 +312,9 @@ def test_format_equals_reference_and_round_trips(code: Code, rows: int, block: i
 )
 @pytest.mark.parametrize("n", [2, 6])
 def test_format_equals_reference_on_named_alphabets(symbols, n: int) -> None:
-    # at n = 6 the code's 384 symbols outnumber the values 0..10, so (0, 9)
-    # and (9, 10) are named by value; at n = 2 (8 symbols), and for the wide
-    # alphabets, the names are ranked
+    # at n = 6 the code's 384 symbols outnumber the values 0..99, so (0, 9),
+    # (9, 10) and (10, 99) are named by value; at n = 2 (8 symbols), and for
+    # the wide alphabets, the names are ranked
     code = Code(n=n, M=2**n, q=symbols[-1] + 1, words=list(product(symbols, repeat=n)))
     for rows in (1, 3, codes._ITER_BLOCK):
         with mock.patch.object(codes, "_ITER_BLOCK", rows):
@@ -490,7 +491,7 @@ def test_the_first_faulty_codeword_is_reported(rows, message: str) -> None:
     assert str(err.value) == message
 
 
-def constant_keys(columns: np.ndarray, radix: int) -> np.ndarray:
+def constant_keys(columns: np.ndarray) -> np.ndarray:
     """A key function under which every row repeats every other."""
     return np.zeros(columns.shape[1], np.uint64)
 
