@@ -17,13 +17,13 @@ preconditions the accused set is still reported, alongside the overflow
 verdict when it is too large.
 
 Both tracers filter on the code's bit-packed words (``Code.packed``, each
-word ceil(n/64) uint64 limbs, made once by the code's validation, about
-0.9 ms at q = 100).  R becomes two limb vectors, a mask of its pinned
-positions and their pinned bits, and a word is a candidate when its limbs
-ANDed with the mask equal the bits: a few integer operations per word,
-whatever the number of pins.  The strongly-separable tracer then makes one
-column-sum pass over the candidates' rows of the array.  Reports carry an
-operation count of one unit per (coordinate, codeword) pair those passes
+word ceil(n/64) uint64 limbs, made once by the code's validation, whose
+cost the ``Code`` docstring states).  R becomes two limb vectors, a mask of
+its pinned positions and their pinned bits, and a word is a candidate when
+its limbs ANDed with the mask equal the bits: a few integer operations per
+word, whatever the number of pins.  The strongly-separable tracer then makes
+one column-sum pass over the candidates' rows of the array.  Reports carry
+an operation count of one unit per (coordinate, codeword) pair those passes
 decide, pinned*M for the filter plus n*M for the column pass, so a full
 trace costs at most 2*n*M units: the count is how the linear-time contract
 is asserted in tests.
@@ -71,7 +71,7 @@ def _require_binary(code: Code) -> None:
 
 
 def _candidates(code: Code, feasible: FeasibleSet, t: int) -> tuple[np.ndarray, int]:
-    """Mask of the codewords matching every pinned position of R, and the pin count."""
+    """Rows of the codewords matching every pinned position of R, and the pin count."""
     _require_binary(code)
     if feasible.n != code.n:
         raise ValueError(f"feasible set has {feasible.n} positions, code has length {code.n}")
@@ -81,10 +81,10 @@ def _candidates(code: Code, feasible: FeasibleSet, t: int) -> tuple[np.ndarray, 
     pinned = pins < 2
     limbs = pack_bits(np.stack([pinned, pins == 1]))
     mask, bits = limbs[:, :1], limbs[:, 1:]
-    keep = ((code.packed & mask) == bits).all(axis=0)
-    if not keep.any():
+    rows = np.flatnonzero(((code.packed & mask) == bits).all(axis=0))
+    if not rows.size:
         raise ValueError("infeasible R: no codeword matches every pinned coordinate")
-    return keep, int(np.count_nonzero(pinned))
+    return rows, int(np.count_nonzero(pinned))
 
 
 def coalition_feasible_set(code: Code, coalition: Iterable[int]) -> FeasibleSet:
@@ -105,8 +105,8 @@ def lacc_identify(code: Code, feasible: FeasibleSet, t: int) -> TraceReport:
     On a t-frameproof code with R produced by a coalition of at most t
     members, the accused set equals the coalition exactly.
     """
-    keep, pinned = _candidates(code, feasible, t)
-    accused = frozenset(np.flatnonzero(keep).tolist())
+    rows, pinned = _candidates(code, feasible, t)
+    accused = frozenset(rows.tolist())
     return TraceReport(
         colluders=accused,
         overflow=len(accused) > t,
@@ -124,28 +124,22 @@ def ssc_trace(code: Code, feasible: FeasibleSet, t: int) -> TraceReport:
     the candidate that alone carries bit 1 there, and the one that alone
     carries bit 0.  On a strongly t-separable code with R the descendant of
     a coalition of at most t members, the accused set equals the coalition.
+    The evidence is in position order, and at one position (which two
+    candidates can split) bit 1's lone carrier comes before bit 0's.
     """
-    keep, pinned = _candidates(code, feasible, t)
-    rows = np.flatnonzero(keep)
+    rows, pinned = _candidates(code, feasible, t)
     words = code.array[rows]
     ones = words.sum(axis=0, dtype=np.int64)
-
-    def carriers(columns: np.ndarray, bit: int) -> list[tuple[int, int, int]]:
-        at = (words[:, columns] == bit).argmax(axis=0)  # the first, here the only, carrier
-        return [(k, bit, i) for k, i in zip(columns.tolist(), rows[at].tolist())]
-
-    # per position the unique carrier of bit 1 is reported before that of bit 0
-    sole_one, sole_zero = np.flatnonzero(ones == 1), np.flatnonzero(ones == rows.size - 1)
-    evidence = sorted(
-        carriers(sole_one, 1) + carriers(sole_zero, 0),
-        key=lambda triple: (triple[0], -triple[1]),
-    )
-    colluders = frozenset(i for _, _, i in evidence)
+    # row-major over (position, [bit 1, bit 0]) gives the evidence order
+    positions, column = np.nonzero(np.stack([ones == 1, ones == rows.size - 1], axis=1))
+    bits = 1 - column
+    carriers = rows[(words[:, positions] == bits).argmax(axis=0)]  # the first, here the only one
+    colluders = frozenset(carriers.tolist())
     return TraceReport(
         colluders=colluders,
         overflow=len(colluders) > t,
         t=t,
         candidates=frozenset(rows.tolist()),
-        evidence=tuple(evidence),
+        evidence=tuple(zip(positions.tolist(), bits.tolist(), carriers.tolist())),
         ops=(pinned + code.n) * code.M,
     )

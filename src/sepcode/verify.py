@@ -534,10 +534,8 @@ def _framing(
 ) -> FramingWitness | None:
     if len(captured) == len(coalition):
         return None
-    outside = sorted(set(captured) - set(coalition))
-    return FramingWitness(
-        coalition=coalition, framed=outside[0], captured=tuple(captured)
-    )
+    framed = next(i for i in captured if i not in coalition)
+    return FramingWitness(coalition=coalition, framed=framed, captured=tuple(captured))
 
 
 def is_fpc(code: Code, t: int) -> Verdict:
@@ -595,12 +593,11 @@ def _ambiguity(
     code: Code, coalition: tuple[int, ...], captured: Sequence[int]
 ) -> AmbiguityWitness | None:
     """The delete-one test on a coalition's captured set; a witness if it fails."""
-    members = set(captured)
     for x in coalition:
-        rest = sorted(members - {x})
+        rest = [i for i in captured if i != x]
         if not rest or not _same_descendant(code, rest, coalition):
             continue
-        outside = sorted(members - set(coalition))
+        outside = [i for i in captured if i not in coalition]
         if outside and _same_descendant(code, outside, coalition):
             alternative = tuple(outside)
         else:
@@ -724,8 +721,8 @@ def shortened_sc_check(code: Code) -> Verdict:
         again = np.flatnonzero((np.diff(g1[by]) == 0) & (np.diff(g2[by]) == 0))
         if again.size:
             pair = int(g1[by[again[0]]]), int(g2[by[again[0]]])
-            shared = sorted(map(tuple, rest[first[(g1 == pair[0]) & (g2 == pair[1])]].tolist()))
-            return Verdict(False, OverlapWitness(position, pair, tuple(shared)))
+            shared = tuple(map(tuple, rest[first[(g1 == pair[0]) & (g2 == pair[1])]].tolist()))
+            return Verdict(False, OverlapWitness(position, pair, shared))
     return Verdict(True)
 
 

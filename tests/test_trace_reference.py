@@ -117,6 +117,12 @@ def composed_cases(draw, max_q: int = 4):
 @example(  # no codeword matches both pins: both tracers raise
     (Code.from_words([(0, 0), (1, 1)], q=2), FeasibleSet((TOKENS["0"], TOKENS["1"])), 2)
 )
+@example(  # a lone candidate: each position gives one triple, for its own bit
+    (Code.from_words([(0, 1, 1), (1, 0, 1)], q=2), FeasibleSet(tuple(map(TOKENS.get, "0**"))), 1)
+)
+@example(  # two candidates split position 0: its bit-1 triple, then its bit-0 triple
+    (Code.from_words([(0, 1), (1, 1)], q=2), FeasibleSet(tuple(map(TOKENS.get, "**"))), 2)
+)
 def test_tracers_equal_reference_on_random_binary_codes(case) -> None:
     assert_tracers_match(*case)
 
