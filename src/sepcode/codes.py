@@ -407,8 +407,8 @@ def _parse_lines(text: str) -> Code:
         raise CodeFormatError(str(exc), head_line) from None
 
 
-# ASCII characters other than "\n" at which str.splitlines breaks a line
-_OTHER_BREAKS = frozenset("\r\v\f\x1c\x1d\x1e")
+# ASCII bytes other than "\n" at which str.splitlines breaks a line
+_OTHER_BREAKS = frozenset(b"\r\v\f\x1c\x1d\x1e")
 _SPACE, _TAB, _NEWLINE, _ZERO = b" \t\n0"
 
 
@@ -496,28 +496,26 @@ def _parse_blocks(data: bytes | mmap) -> Code | None:
     exactly M lines of n decimal tokens below q, separated by spaces, tabs
     and blank lines.  A body of exactly M rows "d d ... d\\n" is read as
     fixed-width rows; any other plain body is tokenized in blocks; the rows
-    either builds become the Code's array.  Anything else returns None, so
-    that ``_parse_lines`` gives the result or the error.  Only what
-    ``_parse_lines`` would raise the same way raises here: a faulty header,
-    and a duplicate codeword, both on the header line.
+    either builds become the Code's array.  Anything else, a faulty header
+    too, returns None for ``_parse_lines`` to parse or report.  Only a
+    duplicate codeword raises, on the header line as there: the line
+    parser takes about 40 times as long to find it in a large file.
     """
-    if np.frombuffer(data, np.uint8).max(initial=0) > 127:  # not ASCII
-        return None
     pos = head_line = 0
     while pos < len(data):
         cut = data.find(b"\n", pos)
         cut = len(data) if cut < 0 else cut
-        line, pos, head_line = data[pos:cut].decode(), cut + 1, head_line + 1
-        if not _OTHER_BREAKS.isdisjoint(line):
+        line, pos, head_line = data[pos:cut], cut + 1, head_line + 1
+        if not line.isascii() or not _OTHER_BREAKS.isdisjoint(line):
             return None
-        content = line.split("#", 1)[0].strip()
+        content = line.decode().split("#", 1)[0].strip()
         if content:
             break
     else:
         return None
-    n, m, q = _header(content, head_line)
-    try:
-        _symbol_dtype(q)  # refuses q above 2**63, which _parse_lines reports
+    try:  # a faulty header, or q above 2**63, is left to _parse_lines to report
+        n, m, q = _header(content, head_line)
+        _symbol_dtype(q)
     except ValueError:
         return None
     # every symbol takes a digit and all but the last a separator, so a
@@ -538,8 +536,8 @@ def _parse_blocks(data: bytes | mmap) -> Code | None:
 def parse_code_text(text: str) -> Code:
     """Parse the code text format, raising CodeFormatError with a line number.
 
-    Plain files are tokenized in numpy blocks; any other text, and every
-    fault, is parsed line by line, which gives the message and the line.
+    Plain files are read in numpy blocks, which report only a duplicate
+    codeword; other text goes line by line, which reports every other fault.
     """
     code = _parse_blocks(text.encode())
     return _parse_lines(text) if code is None else code

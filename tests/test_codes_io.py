@@ -406,7 +406,17 @@ FILES = {
     # str.splitlines breaks at U+2028, so the header is on line 2
     "U+2028 before the header": "# note\u2028 3 2 2\n0 1 0\n1 1 0\n".encode(),
     "U+2028 before a duplicate": "# note\u2028 3 2 2\n0 1 0\n0 1 0\n".encode(),
+    "faulty header": b"3 2\n0 1 0\n1 1 0\n",
+    "q above 2**63": b"1 1 18446744073709551617\n0\n",
+    "non-ASCII header": "3 2 2\u00e9\n0 1 0\n1 1 0\n".encode(),
+    "non-UTF-8 comment before the header": b"# \xff\n3 2 2\n0 1 0\n1 1 0\n",
 }
+HEADER_FAULTS = [
+    "faulty header",
+    "q above 2**63",
+    "non-ASCII header",
+    "non-UTF-8 byte after a faulty header",
+]
 
 
 def mapped(path: Path) -> bool:
@@ -433,6 +443,12 @@ def test_code_files_read_from_a_fifo_like_reference(tmp_path, raw: bytes) -> Non
     assert outcome(codes.read_code_file, path) == file_outcome(raw)
     writer.join(timeout=10)
     assert not writer.is_alive()
+
+
+@pytest.mark.parametrize("name", HEADER_FAULTS)
+def test_the_block_path_leaves_header_faults_to_the_line_parser(name: str) -> None:
+    # the line parser reports them, after the UTF-8 check of the whole file
+    assert codes._parse_blocks(FILES[name]) is None
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps")
