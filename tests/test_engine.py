@@ -5,16 +5,15 @@ and the brute-force oracles.
 A reduced code with 2^n <= M takes the join, unless it would expand more
 triples than the code has pairs, and any other code the pair engine; so
 each check also runs with each backend forced, the join on every code of
-at most 10 positions.  Codes whose alphabet product is at most 4096
-always take the pair engine's dense-table index and fit one block, so the
-pair engine also runs with the dense table switched off (sorted keys) and
-both backends with blocks of a pair or two.  Every scan reduces the code
-first (a one-hot composition to its q-ary source), so each check also runs
-with the reduction switched off, under the dense table and the sorted keys,
-to keep the full-length binary path covered; a property test compares the
-two paths.  Wide codes, whose alphabet product passes 2^64, have no key and
-take the whole-code scan in every setting.  Failing verdicts carry the
-stats of the pairs up to their witness, which every setting must repeat.
+at most 10 positions.  Small codes fit one block, so both backends also
+run with blocks of a pair or two.  The pair engine counts each pair's
+captured set from per-symbol codeword bitmasks, so the brute-force check
+also runs on codes with 63 to 129 codewords, whose masks span one to three
+64-bit limbs.  Every scan reduces the code first (a one-hot composition to
+its q-ary source), so each check also runs with the reduction switched
+off, to keep the full-length binary path covered; a property test compares
+the two paths.  Failing verdicts carry the stats of the pairs up to their
+witness, which every setting must repeat.
 
 A code keeps its reduction, its join profile and the histogram of its first
 complete walk under either backend, so each setting runs on a fresh copy of
@@ -46,8 +45,7 @@ from sepcode.construct import build_length3, one_hot_compose, optimal_s
 @contextmanager
 def engine_setting(kind: str):
     """The scan as configured, or with one backend forced ("pairs" or
-    "join"), sorted keys in place of the dense table, tiny blocks or no
-    reduction of the code; "+" joins settings."""
+    "join"), tiny blocks or no reduction of the code; "+" joins settings."""
     kinds = kind.split("+")
     pairs, join = verify._pair_profile, verify._join_profile
     with ExitStack() as stack:
@@ -60,8 +58,6 @@ def engine_setting(kind: str):
 
             stack.enter_context(mock.patch.object(verify, "_pair_profile", forced))
             stack.enter_context(mock.patch.object(verify, "_JOIN_TRIPLES_PER_PAIR", np.inf))
-        if "sorted" in kinds:
-            stack.enter_context(mock.patch.object(verify, "_DENSE_TABLE_MAX", 0))
         if "tiny-blocks" in kinds:
             stack.enter_context(mock.patch.object(verify, "_BLOCK_ELEMS", 7))
         if "unreduced" in kinds:
@@ -72,12 +68,10 @@ def engine_setting(kind: str):
 ENGINE_SETTINGS = (
     "dense",
     "pairs",
-    "pairs+sorted",
     "pairs+tiny-blocks",
     "join",
     "join+tiny-blocks",
     "unreduced",
-    "unreduced+sorted",
 )
 
 
@@ -181,14 +175,29 @@ def test_capture_counts_equal_brute_oracle() -> None:
         one_hot_compose(random_code(rng, n=3, max_m=12, max_q=4)) for _ in range(10)
     ]
     fixtures.append(one_hot_compose(build_length3(4, 1)))
+    # codewords on both sides of a 64-bit limb boundary share symbols; the
+    # last three split into blocks on 1 of 4 positions (one limb a block),
+    # on 1 of 2 (one limb) and on 1 of 5 (two limbs a block)
+    for n, q, m in (
+        (8, 2, 63), (8, 2, 64), (8, 2, 65), (8, 2, 129), (4, 4, 129), (2, 10, 100), (5, 4, 260)
+    ):
+        fixtures.append(Code.from_words(rng.sample(list(product(range(q), repeat=n)), m), q=q))
+    blocked = [verify._symbol_masks(code.array) for code in fixtures[-3:]]
+    assert [(len(moves), masks.shape[1]) for masks, _, moves in blocked] == [(1, 1), (1, 1), (1, 2)]
+    pairs, want = [], []  # the oracle reads none of the engine settings, so it runs once
+    for code in fixtures:
+        total = code.M * (code.M - 1) // 2
+        stride = max(1, -(-total // 10_000))  # every pair, but every 4th of the last code's
+        first, second = verify._pairs_at(code.M, np.arange(0, total, stride))
+        seen = list(zip(first.tolist(), second.tolist()))
+        assert seen == list(combinations(range(code.M), 2))[::stride]
+        pairs.append((first, second))
+        want.append([len(brute_captured(code, pair)) for pair in seen])
     for kind in ENGINE_SETTINGS:
         with engine_setting(kind):
-            for code in fixtures:
-                first, second = verify._pairs_at(code.M, np.arange(code.M * (code.M - 1) // 2))
-                seen = list(zip(first.tolist(), second.tolist()))
-                assert seen == list(combinations(range(code.M), 2))
-                counts = verify._capture_counts(verify._WordIndex(code.array), first, second)
-                assert counts.tolist() == [len(brute_captured(code, pair)) for pair in seen]
+            for code, (first, second), sizes in zip(fixtures, pairs, want):
+                counts = verify._capture_counts(verify._symbol_masks(code.array), first, second)
+                assert counts.tolist() == sizes, kind
 
 
 def _profile(backend, words: np.ndarray) -> tuple[list[int], list[int]]:
@@ -243,30 +252,26 @@ def _zero_and_units(n: int) -> Code:
     return Code.from_words([_near_zero(n, {})] + units)
 
 
-# codes at the edge of a 64-bit key, and whether they get one
+# codes whose alphabet product is at or past 2^64
 KEY_EDGE_CODES = {
-    "binary-2^64": (_zero_and_units(64), True),
-    "binary-2^65": (_zero_and_units(65), False),
+    "binary-2^64": _zero_and_units(64),
+    "binary-2^65": _zero_and_units(65),
     # ten constant words give each of the 20 positions all ten symbols
     # (10^20 > 2^64); words near the zero word make pairs at distance 2 and 3
-    "q-ary-10^20": (
-        Code.from_words(
-            [(s,) * 20 for s in range(1, 10)]
-            + [_near_zero(20, moved) for moved in (
-                {}, {0: 1}, {1: 1}, {0: 1, 1: 1},
-                {5: 3}, {6: 3}, {7: 3}, {5: 3, 6: 3, 7: 3},
-            )],
-            q=10,
-        ),
-        False,
+    "q-ary-10^20": Code.from_words(
+        [(s,) * 20 for s in range(1, 10)]
+        + [_near_zero(20, moved) for moved in (
+            {}, {0: 1}, {1: 1}, {0: 1, 1: 1},
+            {5: 3}, {6: 3}, {7: 3}, {5: 3, 6: 3, 7: 3},
+        )],
+        q=10,
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(KEY_EDGE_CODES))
 def test_codes_at_the_edge_of_a_64_bit_key(name) -> None:
-    code, keyed = KEY_EDGE_CODES[name]
-    assert verify._WordIndex(verify._reduce(code)).keyed is keyed
+    code = KEY_EDGE_CODES[name]
     assert_matches_reference(code, ts=(2, 3))
     pairs = list(combinations(range(code.M), 2))
     sizes = Counter(len(captured_indices(code.array, pair)) for pair in pairs)
@@ -274,6 +279,17 @@ def test_codes_at_the_edge_of_a_64_bit_key(name) -> None:
     for kind in ENGINE_SETTINGS:
         with engine_setting(kind):
             assert verify.capture_stats(fresh(code)) == want, kind
+
+
+def test_the_pair_engine_refuses_a_code_whose_masks_pass_their_bound() -> None:
+    code = _zero_and_units(8)  # 2^8 > 9 words: the pair engine
+    # unsplit, 16 symbol rows of one limb: 128 bytes; every split takes more
+    with mock.patch.object(verify, "_MASK_BYTES", 127):
+        with pytest.raises(ValueError, match="codeword masks over 127 bytes"):
+            verify.capture_stats(fresh(code))
+    with mock.patch.object(verify, "_MASK_BYTES", 128):
+        assert verify._symbol_masks(verify._reduce(code))[0].nbytes == 128
+        assert verify.capture_stats(fresh(code)).max_capture == 3
 
 
 def test_short_codes_take_the_join_and_long_ones_the_pair_engine() -> None:
