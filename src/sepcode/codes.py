@@ -17,10 +17,12 @@ materialized as word lists except through the bounded enumeration helper.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterable, Iterator, Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import product
+from math import prod
 from mmap import ACCESS_READ, mmap
 from pathlib import Path
 
@@ -34,6 +36,8 @@ _ITER_BLOCK = 1024
 # characters of code-file text tokenized per numpy step; blocks are cut
 # after a newline, so a line longer than this makes its block longer
 _PARSE_BLOCK = 1 << 18
+# a line's text, then the break str.splitlines ends it at (or the end of the text)
+_LINE = re.compile(r"([^\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]*)(?:\r\n|.|\Z)", re.DOTALL)
 # splitmix64's finalizer steps, x ^= x >> shift then x *= factor, as uint64 scalars made once
 _SPLITMIX = tuple(zip(np.uint64([30, 27]), np.uint64([0xBF58476D1CE4E5B9, 0x94D049BB133111EB])))
 
@@ -271,10 +275,7 @@ class FeasibleSet:
         return all(sym in allowed for sym, allowed in zip(word, self.positions))
 
     def member_count(self) -> int:
-        total = 1
-        for allowed in self.positions:
-            total *= len(allowed)
-        return total
+        return prod(map(len, self.positions))
 
     def enumerate_members(self, cap: int = 10**6) -> Iterator[Word]:
         """Yield every word of the product; refuses when the product exceeds cap."""
@@ -366,17 +367,14 @@ def _header(content: str, line: int) -> tuple[int, int, int]:
 
 
 def _parse_lines(text: str) -> Code:
-    """Parse line by line; every fault raises CodeFormatError with its line."""
-    rows: list[tuple[int, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        content = raw.split("#", 1)[0].strip()
-        if content:
-            rows.append((lineno, content))
-    if not rows:
-        raise CodeFormatError('missing header line "n M q"', line=1)
-    head_line = rows[0][0]
-    n, m, q = _header(rows[0][1], head_line)
-    body = rows[1:]
+    """Parse lazily, line by line; every fault raises CodeFormatError with its line."""
+    lines = ((k, c) for k, line in enumerate(_LINE.finditer(text), start=1)
+             if (c := line[1].split("#", 1)[0].strip()))  # numbered, holding more than a comment
+    head_line, content = next(lines, (1, None))
+    if content is None:
+        raise CodeFormatError('missing header line "n M q"', head_line)
+    n, m, q = _header(content, head_line)
+    body = list(lines)
     if len(body) > m:
         raise CodeFormatError(f"expected {m} codeword lines, found more", body[m][0])
     if len(body) < m:

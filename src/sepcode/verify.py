@@ -49,10 +49,11 @@ subset with the coalition's descendant inside D, and the two share one
 equal-descendant test; at t = 2 only pairs capturing 4 or more can fail
 either.  The literal, exponential definition is kept as ``is_ssc_naive``,
 the oracle the tests compare against.  For length-3 codes,
-``shortened_sc_check`` decides 2-separability by shortened-code overlaps,
-``forbidden_type_scan`` decides strong 2-separability on 2-separable codes
-by four forbidden captured-set patterns, and ``desc_cap_bound`` computes
-the capture bound, whose value <= 3 suffices for strong 2-separability.
+``shortened_sc_check`` decides 2-separability by shortened-code overlaps
+in two integer sorts, ``forbidden_type_scan`` decides strong
+2-separability on 2-separable codes by four forbidden captured-set
+patterns, and ``desc_cap_bound`` computes the capture bound, whose value
+<= 3 suffices for strong 2-separability.
 
 Every scan reduces the code first, keeping every captured set and codeword
 index.  A constant column never decides membership in a descendant, so it
@@ -82,7 +83,7 @@ from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .codes import Code, Word, captured_indices, descendant, hamming
+from .codes import Code, Word, captured_indices, descendant, hamming, shortened
 
 # symbol comparisons above which a per-coalition scan is refused: about half a
 # minute of a holding t = 3 is_ssc (4e7 a second on a 2-vCPU Intel Xeon)
@@ -93,6 +94,7 @@ _BLOCK_ELEMS = 1 << 15
 # triples per pair of the code the join may expand; past that (a dense code)
 # the pair engine's pairs cost less, and the join's kept triples could fill memory
 _JOIN_TRIPLES_PER_PAIR = 1
+_KEY_LIMIT = 2**63  # bound on the int64 sort keys of shortened_sc_check
 # bytes of codeword masks the pair engine may build (see _symbol_masks);
 # a code whose masks cannot fit is refused
 _MASK_BYTES = 1 << 28
@@ -185,7 +187,7 @@ class Verdict:
 
 
 def _witness_holds(code: Code, w: Witness) -> bool:
-    """Whether a witness of ``_scan`` holds by the raw definition, in O(|witness| n)."""
+    """Whether a witness holds by the raw definition, in O(|witness| n), or O(M) for an overlap."""
 
     def desc(members):
         return descendant(code.words[k] for k in members)
@@ -196,6 +198,9 @@ def _witness_holds(code: Code, w: Witness) -> bool:
         return w.first != w.second and desc(w.first) == desc(w.second)
     if isinstance(w, AmbiguityWitness):
         return not set(w.coalition) <= set(w.alternative) and desc(w.coalition) == desc(w.alternative)
+    if isinstance(w, OverlapWitness):  # both symbols' shortened codes hold every shared word
+        return (len(set(w.shared)) == len(w.shared) > 1 and w.symbols[0] != w.symbols[1]
+                and all(set(w.shared) <= shortened(code, w.position, g) for g in w.symbols))
     # each extra word switches one position of one pair word to the other's
     # symbol: every position for pattern 4, all but position pattern - 1 else
     (u, v), spots = (code.words[k] for k in w.pair), {0, 1, 2} - {w.pattern - 1}
@@ -707,28 +712,40 @@ def shortened_sc_check(code: Code) -> Verdict:
 
     Holds iff, at every position, any two shortened codes (one per symbol)
     share at most one length-2 word.  Equals ``is_sc(code, 2)`` for n=3.
-    One sort a position groups the codewords by shortened word, then symbol;
-    any two words of a group give a pair (g1, g2) sharing that word, and the
-    least pair given twice is the first failure in (position, g1, g2) order.
+    One sort of keys ((p r + a) r + b) r + s, r the largest symbol + 1, groups
+    all positions' words by shortened word (a, b), then symbol; two words of a
+    group give a pair (g1, g2), and one sort of keys (p r + g1) r + g2 finds
+    the first given twice in (position, g1, g2) order.  Past 3 r^4 = 2^63 the
+    symbols are ranked; from 41,870 ranks on, a lexsort does the first sort.
     """
     if code.n != 3:
         raise ValueError("shortened-code criterion is defined for length-3 codes only")
-    for position in range(3):
-        symbol, rest = code.array[:, position], np.delete(code.array, position, axis=1)
-        order = np.lexsort((symbol, rest[:, 1], rest[:, 0]))
-        symbol, rest = symbol[order], rest[order]
-        bounds = np.flatnonzero(np.r_[True, (rest[1:] != rest[:-1]).any(axis=1), True])
-        later = np.repeat(bounds[1:], np.diff(bounds)) - np.arange(code.M) - 1  # in its group
-        first = np.repeat(np.arange(code.M), later)
-        second = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(later) - later, later)
-        g1, g2 = symbol[first], symbol[second]
-        by = np.lexsort((g2, g1))
-        again = np.flatnonzero((np.diff(g1[by]) == 0) & (np.diff(g2[by]) == 0))
-        if again.size:
-            pair = int(g1[by[again[0]]]), int(g2[by[again[0]]])
-            shared = tuple(map(tuple, rest[first[(g1 == pair[0]) & (g2 == pair[1])]].tolist()))
-            return Verdict(False, OverlapWitness(position, pair, shared))
-    return Verdict(True)
+    arr, symbols, r = code.array, None, int(code.array.max()) + 1
+    if 3 * r**4 > _KEY_LIMIT:
+        symbols, arr = np.unique(arr, return_inverse=True)
+        r = symbols.size
+    cols = arr.T.astype(np.int64)
+    group = ((np.arange(3)[:, None] * r + cols[[1, 0, 0]]) * r + cols[[2, 2, 1]]).ravel()
+    if 3 * r**4 <= _KEY_LIMIT:
+        group, symbol = np.divmod(np.sort(group * r + cols.ravel()), r)
+    else:  # the full keys would not fit: sort on (p, a, b), then s
+        group, symbol = np.stack((group, cols.ravel()))[:, np.lexsort((cols.ravel(), group))]
+    bounds = np.flatnonzero(np.concatenate(([True], group[1:] != group[:-1], [True])))
+    later = np.repeat(bounds[1:], np.diff(bounds)) - np.arange(group.size) - 1  # in its group
+    first = np.repeat(np.arange(group.size), later)
+    second = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(later) - later, later)
+    pair = (group[first] // r**2 * r + symbol[first]) * r + symbol[second]
+    ordered = np.sort(pair)
+    again = np.flatnonzero(ordered[1:] == ordered[:-1])
+    if not again.size:
+        return Verdict(True)
+    key = int(ordered[again[0]])  # then the pair's groups, in order: its shared words
+    found = np.stack(np.divmod(np.r_[key, group[first[pair == key]]] % r**2, r), axis=1)
+    (g1, g2), *shared = (found if symbols is None else symbols[found]).tolist()
+    witness = OverlapWitness(key // r**2, (g1, g2), tuple(map(tuple, shared)))
+    if not _witness_holds(code, witness):
+        raise RuntimeError(f"{witness} does not re-check on the code")
+    return Verdict(False, witness)
 
 
 def desc_cap_bound(code: Code) -> int:

@@ -451,6 +451,23 @@ def test_the_block_path_leaves_header_faults_to_the_line_parser(name: str) -> No
     assert codes._parse_blocks(FILES[name]) is None
 
 
+@pytest.mark.parametrize("name", ["faulty header", "non-ASCII header"])
+def test_a_header_fault_is_reported_before_the_body_is_read(name: str) -> None:
+    # the line parser reads lines lazily: none past a header it cannot read
+    raw, line, matches = FILES[name] + b"0 1 0\n" * 50_000, codes._LINE, []
+
+    class Counted:
+        def finditer(self, text):
+            for match in line.finditer(text):
+                matches.append(match[1])
+                yield match
+
+    with mock.patch.object(codes, "_LINE", Counted()), pytest.raises(CodeFormatError) as fault:
+        codes._parse_lines(codes._decode(raw))
+    assert fault.value.line == len(matches) == 1
+    assert str(fault.value) == file_outcome(FILES[name])[1]
+
+
 @pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps")
 def test_a_code_file_is_mapped_for_the_parse_alone(tmp_path) -> None:
     path = tmp_path / "code"

@@ -5,6 +5,7 @@ import time
 from itertools import product
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,7 @@ from conftest import (
     brute_is_sc,
     random_code,
 )
+from test_acceptance import REPORTED_SIZES
 from sepcode import verify
 from sepcode.codes import Code, desc_intersect_code, hamming, shortened
 from sepcode.construct import build_length3, optimal_s
@@ -352,6 +354,11 @@ def test_shortened_check_equals_separability_for_length_3() -> None:
         assert shortened_sc_check(code).holds == is_sc(code, 2).holds
 
 
+def test_shortened_check_holds_on_every_table_row_and_q200() -> None:
+    for q in [*REPORTED_SIZES, 200]:
+        assert shortened_sc_check(build_length3(q, optimal_s(q).s)).holds, q
+
+
 def test_shortened_check_requires_length_3() -> None:
     with pytest.raises(ValueError, match="length-3"):
         shortened_sc_check(FULL_SQUARE)
@@ -408,7 +415,7 @@ def test_verdict_shape_is_enforced() -> None:
 def length3_codes(draw) -> Code:
     """Length-3 codes over few or very many symbols, drawn from a few values
     per position so that shortened codes often share two words or more."""
-    q = draw(st.sampled_from([2, 3, 4, 10**6, 2**40]))
+    q = draw(st.sampled_from([2, 3, 4, 10**6, 2**40, 2**63]))
     symbol = st.sampled_from(sorted({0, 1, 2 % q, q - 1}))
     words = draw(st.lists(st.tuples(symbol, symbol, symbol), min_size=1, max_size=20, unique=True))
     return Code.from_words(words, q=q)
@@ -418,3 +425,63 @@ def length3_codes(draw) -> Code:
 @given(length3_codes())
 def test_shortened_check_equals_reference(code: Code) -> None:
     assert shortened_sc_check(code) == ref.shortened_sc_check(code)
+
+
+@settings(max_examples=300, deadline=None)
+@given(length3_codes(), st.sampled_from([3 * 4**4, 1]))
+def test_every_sort_rule_of_the_shortened_check_equals_reference(code: Code, limit: int) -> None:
+    # under a key limit of 3 * 4**4, radix 4 still takes the full keys, on
+    # symbols ranked when q is larger; under 1, every code takes the lexsort
+    with mock.patch.object(verify, "_KEY_LIMIT", limit):
+        assert shortened_sc_check(code) == ref.shortened_sc_check(code)
+
+
+def wide_code(extra: tuple = ()) -> Code:
+    """45,000 words over q = 2**63, distinct at position 0, then ``extra``.
+
+    Each shortened word at position 0 is held twice, so its group gives a
+    pair; every symbol at position 0 has one word, so none fails there."""
+    rng, q = random.Random(28), 2**63
+    firsts = {q - 3}  # the largest symbol below the extra words' two
+    while len(firsts) < 45_000:
+        firsts.add(rng.getrandbits(62))
+    words = [(g, k % 150, k // 150 % 150) for k, g in enumerate(sorted(firsts))]
+    return Code(n=3, M=len(words) + len(extra), q=q, words=words + list(extra))
+
+
+def test_shortened_check_on_a_position_of_45000_symbols_at_q_2_pow_63() -> None:
+    code = wide_code()
+    assert 3 * len(np.unique(code.array)) ** 4 > 2**63  # even the ranks take the lexsort
+    assert shortened_sc_check(code).holds
+    q = 2**63
+    # two new symbols at position 0, each with the same two shortened words
+    extra = ((q - 2, 0, q - 1), (q - 2, 1, 5), (q - 1, 0, q - 1), (q - 1, 1, 5))
+    verdict = shortened_sc_check(wide_code(extra))
+    assert verdict.witness == OverlapWitness(
+        position=0, symbols=(q - 2, q - 1), shared=((0, q - 1), (1, 5))
+    )
+    revalidate(wide_code(extra), verdict)
+
+
+def test_a_shortened_check_witness_that_does_not_recheck_raises() -> None:
+    code = Code.from_words([(0, 0, 0), (0, 1, 1), (1, 0, 0), (1, 1, 1)], q=2)
+    witness = shortened_sc_check(code).witness
+    assert verify._witness_holds(code, witness)
+    corrupt = [
+        lambda w: OverlapWitness(w.position, w.symbols, w.shared[:1]),  # one shared word
+        lambda w: OverlapWitness(w.position, w.symbols, w.shared[:1] * 2),  # one word twice
+        lambda w: OverlapWitness(w.position, w.symbols, ((0, 1),) + w.shared[1:]),  # not held
+        lambda w: OverlapWitness(w.position, (0, 0), w.shared),  # one symbol twice
+        lambda w: OverlapWitness(1, w.symbols, w.shared),  # another position
+    ]
+    for bad in corrupt:
+        assert not verify._witness_holds(code, bad(witness))
+
+        class Corrupted(OverlapWitness):  # built as the check builds it, then corrupted
+            def __init__(self, *fields, bad=bad):
+                w = bad(OverlapWitness(*fields))
+                super().__init__(w.position, w.symbols, w.shared)
+
+        with mock.patch.object(verify, "OverlapWitness", Corrupted):
+            with pytest.raises(RuntimeError, match="does not re-check"):
+                shortened_sc_check(code)
