@@ -22,7 +22,6 @@ from collections.abc import Iterable, Iterator, Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import product
-from math import prod
 from mmap import ACCESS_READ, mmap
 from pathlib import Path
 
@@ -275,7 +274,10 @@ class FeasibleSet:
         return all(sym in allowed for sym, allowed in zip(word, self.positions))
 
     def member_count(self) -> int:
-        return prod(map(len, self.positions))
+        total = 1
+        for allowed in self.positions:
+            total *= len(allowed)
+        return total
 
     def enumerate_members(self, cap: int = 10**6) -> Iterator[Word]:
         """Yield every word of the product; refuses when the product exceeds cap."""

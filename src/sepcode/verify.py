@@ -49,11 +49,10 @@ subset with the coalition's descendant inside D, and the two share one
 equal-descendant test; at t = 2 only pairs capturing 4 or more can fail
 either.  The literal, exponential definition is kept as ``is_ssc_naive``,
 the oracle the tests compare against.  For length-3 codes,
-``shortened_sc_check`` decides 2-separability by shortened-code overlaps
-in two integer sorts, ``forbidden_type_scan`` decides strong
-2-separability on 2-separable codes by four forbidden captured-set
-patterns, and ``desc_cap_bound`` computes the capture bound, whose value
-<= 3 suffices for strong 2-separability.
+``shortened_sc_check`` decides 2-separability in two integer sorts of
+shortened-code overlaps, ``forbidden_type_scan`` strong 2-separability
+of 2-separable codes by four forbidden captured-set patterns.  The capture
+bound ``desc_cap_bound``, when <= 3, suffices for strong 2-separability.
 
 Every scan reduces the code first, keeping every captured set and codeword
 index.  A constant column never decides membership in a descendant, so it
@@ -715,21 +714,19 @@ def shortened_sc_check(code: Code) -> Verdict:
     One sort of keys ((p r + a) r + b) r + s, r the largest symbol + 1, groups
     all positions' words by shortened word (a, b), then symbol; two words of a
     group give a pair (g1, g2), and one sort of keys (p r + g1) r + g2 finds
-    the first given twice in (position, g1, g2) order.  Past 3 r^4 = 2^63 the
-    symbols are ranked; from 41,870 ranks on, a lexsort does the first sort.
+    the first given twice in (position, g1, g2) order.  Past r = 1,454,083
+    (3 r^3 > 2^63) the symbols are ranked and lexsorted by ((p r + a) r + b, s).
     """
     if code.n != 3:
         raise ValueError("shortened-code criterion is defined for length-3 codes only")
     arr, symbols, r = code.array, None, int(code.array.max()) + 1
-    if 3 * r**4 > _KEY_LIMIT:
+    if 3 * r**3 > _KEY_LIMIT:  # at most 3 M ranks keep the keys below 3 r^2
         symbols, arr = np.unique(arr, return_inverse=True)
         r = symbols.size
     cols = arr.T.astype(np.int64)
     group = ((np.arange(3)[:, None] * r + cols[[1, 0, 0]]) * r + cols[[2, 2, 1]]).ravel()
-    if 3 * r**4 <= _KEY_LIMIT:
-        group, symbol = np.divmod(np.sort(group * r + cols.ravel()), r)
-    else:  # the full keys would not fit: sort on (p, a, b), then s
-        group, symbol = np.stack((group, cols.ravel()))[:, np.lexsort((cols.ravel(), group))]
+    group, symbol = (np.divmod(np.sort(group * r + cols.ravel()), r) if symbols is None else
+                     np.stack((group, cols.ravel()))[:, np.lexsort((cols.ravel(), group))])
     bounds = np.flatnonzero(np.concatenate(([True], group[1:] != group[:-1], [True])))
     later = np.repeat(bounds[1:], np.diff(bounds)) - np.arange(group.size) - 1  # in its group
     first = np.repeat(np.arange(group.size), later)

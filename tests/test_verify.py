@@ -428,12 +428,21 @@ def test_shortened_check_equals_reference(code: Code) -> None:
 
 
 @settings(max_examples=300, deadline=None)
-@given(length3_codes(), st.sampled_from([3 * 4**4, 1]))
-def test_every_sort_rule_of_the_shortened_check_equals_reference(code: Code, limit: int) -> None:
-    # under a key limit of 3 * 4**4, radix 4 still takes the full keys, on
-    # symbols ranked when q is larger; under 1, every code takes the lexsort
-    with mock.patch.object(verify, "_KEY_LIMIT", limit):
+@given(length3_codes())
+def test_the_ranked_lexsort_rule_of_the_shortened_check_equals_reference(code: Code) -> None:
+    # q <= 10**6 takes the full keys and q >= 2**40 the ranked lexsort; under
+    # a key limit of 1, every code takes the lexsort
+    with mock.patch.object(verify, "_KEY_LIMIT", 1):
         assert shortened_sc_check(code) == ref.shortened_sc_check(code)
+
+
+@pytest.mark.parametrize("q", [1_454_083, 1_454_084])  # the last radix of the full keys, the first ranked
+def test_shortened_check_at_the_edge_of_the_full_keys(q: int) -> None:
+    # the group (q - 1, q - 1) at position 2 holds the largest keys
+    code = Code.from_words([(a, a, s) for a in (0, q - 1) for s in (q - 2, q - 1)], q=q)
+    verdict = shortened_sc_check(code)
+    assert verdict.witness == OverlapWitness(2, (q - 2, q - 1), ((0, 0), (q - 1, q - 1)))
+    assert verdict == ref.shortened_sc_check(code)
 
 
 def wide_code(extra: tuple = ()) -> Code:
@@ -451,7 +460,7 @@ def wide_code(extra: tuple = ()) -> Code:
 
 def test_shortened_check_on_a_position_of_45000_symbols_at_q_2_pow_63() -> None:
     code = wide_code()
-    assert 3 * len(np.unique(code.array)) ** 4 > 2**63  # even the ranks take the lexsort
+    assert len(np.unique(code.array[:, 0])) == 45_000  # ranked, then the lexsort
     assert shortened_sc_check(code).holds
     q = 2**63
     # two new symbols at position 0, each with the same two shortened words
