@@ -187,7 +187,8 @@ class Code:
     the row takes 0.25 ms and its (300, 11,250) composition 2.2 ms, 1.6 ms
     of it ``pack_bits`` (450 kB of limbs; medians of 200 calls, 2-vCPU Xeon;
     the docs refer here).  The profile ``sepcode.verify`` keeps on a code
-    holds its reduced words (10.0 MB at q = 100); ``==`` and ``hash`` ignore both."""
+    holds its reduced words (33.75 kB at q = 100) and the join's chunks
+    (10.0 MB); ``==`` and ``hash`` ignore both."""
 
     n: int
     M: int

@@ -16,6 +16,7 @@ are immutable after creation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -133,12 +134,15 @@ def threshold(stats: DetectionStatistics, eps: float = 1e-6) -> FeasibleSet:
 
     For a t-member averaging attack eps must stay below 1/(2t) so the bands
     cannot swallow an interior value k/t; the default 1e-6 is far inside
-    that for any realistic t.
+    that for any realistic t.  A NaN or infinite statistic is refused.
     """
     if not 0 < eps < 0.5:
         raise ValueError("eps must lie strictly between 0 and 0.5")
     # pins from Python floats: a nested np.where here left the CLI pipeline's
     # heap about 7 MB larger at q = 100 in most runs (peak RSS 70.6 -> 77.3 MB)
-    high, low = 1 - eps, eps
-    pins = [1 if v >= high else 0 if v <= low else 2 for v in np.asarray(stats.values).tolist()]
+    high, low, values = 1 - eps, eps, np.asarray(stats.values).tolist()
+    if not all(map(isfinite, values)):  # NaN fails both bands and would read as free
+        position, v = next((p, v) for p, v in enumerate(values) if not isfinite(v))
+        raise ValueError(f"detection statistic at position {position} is {v}, not finite")
+    pins = [1 if v >= high else 0 if v <= low else 2 for v in values]
     return FeasibleSet(tuple(BINARY_SETS[pin] for pin in pins))

@@ -20,26 +20,20 @@ the pairs capturing 3 or more codewords, in order, with their counts.  The
 walk tallies the histogram of captured-set sizes (a pair it does not list
 captures 2), hands the pairs a decider must inspect (a count above 2, or
 above 3 where that is the least that can fail) to ``captured_indices`` and
-stops at the first witness.  A join makes the profile when the reduced code
-(below) has 2^n <= M, as every size-table row, its composition and every
-length-2 code do.  Codeword c lies in desc({i, j}), c not i or j, iff i
-agrees with c on exactly some non-empty proper position subset A and j
-agrees with c off A.  So one sort groups the codewords by their projection
-onto every such A, and each c joins its group on A with its group on the
-complement, keeping i < j: each (pair, third word) comes out once, in
-Σ_c Σ_A |G_A(c)| |G_Ā(c)| steps, about M²/q at length 3.  Where that
-passes one step per pair (a dense code), or 2^n > M, the pair engine
-walks every pair i < j instead.  It splits the codewords into blocks by
-their symbols on the r positions with the most symbols and keeps, per
-block, one bitmask of its members per symbol of each other position; a
-pair's captured set is, over the 2^r blocks that mix its words' symbols,
-the AND over the other positions of the OR of its words' masks.  r makes
-2^r x (n - r) x (ceil(block / 64) + 1) least, so dense codes split until
-a block fits a few 64-bit limbs and long ones stay whole (M²/2 x n x
-ceil(M/64) limb operations); codes whose masks cannot fit in 256 MB are
-refused.  On a 2 vCPU Intel Xeon ``capture_stats`` through it takes 0.09 s
-on a random (30, 500, 2) code, 0.23 s on all 2,401 words of length 4 over
-7 symbols and 8 s on the q = 100 row, which takes the join.
+stops at the first witness.  One rule picks the backend that makes it, once,
+before either allocates anything: the join when its grouping, (2^n - 2) M
+cells of the reduced (M, n) words (below), is at most the M(M - 1)/2 pairs,
+as on every size-table row and its composition.  Codeword c lies in
+desc({i, j}), c not i or j, iff i agrees with c on exactly some non-empty
+proper position subset A and j agrees with c off A.  So one sort groups the
+codewords by their projection onto every such A, and each c joins its group
+on A with its group on the complement, keeping i < j: each (pair, third
+word) comes out once, in Σ_c Σ_A |G_A(c)| |G_Ā(c)| steps, about M²/q at
+length 3.  Otherwise, or where the join would take more steps than pairs
+(a dense code), the pair engine walks every pair i < j.  It ANDs, in blocks
+of codewords, the OR of the two words' per-symbol codeword bitmasks at each
+position (``_symbol_masks``), M²/2 x n x ceil(M/64) limb operations on a
+long code; a code whose masks cannot fit in 256 MB is refused.
 Coalitions of 3 or more (t >= 3) take every coalition's captured set from
 ``captured_indices``, refused up front (like the oracle's) above a work
 limit.  Verdicts from the profile carry ``CaptureStats``.
@@ -68,15 +62,14 @@ captured sets and the work limit run on it, and its captured sets are those
 of the code as given; the tests on each coalition, ``shortened_sc_check``
 and the oracle ``is_ssc_naive`` read the code as given.  Each ``Code``
 keeps, like ``Code.packed``, its reduced array, the join's chunks (10.0 MB
-at q = 100) and the histogram of its first complete walk, from either
-backend, read by a decider no pair can fail.  A failing walk stops at its
-witness and keeps no histogram; the pair engine streams its chunks.
+at q = 100) and the histogram of its first complete walk, which a decider
+no pair can fail reads; a failing walk keeps none, the pair engine no chunks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from math import comb
 from typing import Callable, Iterator, Optional, Sequence, Union
 
@@ -296,14 +289,17 @@ def _reduce(code: Code) -> np.ndarray:
 
 @dataclass(eq=False)
 class _Profile:
-    """What the scans keep in a ``Code``'s ``__dict__``: the ``_reduce``d ``words``,
-    the t = 2 ``backend``, the join's ``chunks`` and the histogram, as ``stats``,
-    once a walk has tallied every pair."""
+    """What the scans keep in a ``Code``'s ``__dict__``: the ``_reduce``d ``words``, the
+    join's ``chunks`` once read, and as ``stats`` the histogram of a walk of every pair."""
 
     words: np.ndarray
-    backend: Optional[str] = None
-    chunks: Optional[list[tuple[np.ndarray, np.ndarray]]] = None
     stats: Optional[CaptureStats] = None
+
+    @cached_property
+    def chunks(self) -> Optional[list[tuple[np.ndarray, np.ndarray]]]:
+        """The join's, if its (2^n - 2) M cells of grouping are at most the pairs; else None."""
+        m, n = self.words.shape
+        return _join_profile(self.words) if (2**n - 2) * m <= m * (m - 1) // 2 else None
 
 
 # ---------------------------------------------------------------------------
@@ -493,16 +489,12 @@ def _scan(
     if "_profile" not in vars(code):
         vars(code)["_profile"] = _Profile(_reduce(code))
     kept = vars(code)["_profile"]
-    words, witness, stats = kept.words, None, None
-    m, n = words.shape
+    words, witness, stats, m = kept.words, None, None, len(kept.words)
     if t > 2:
         tests = (test(c, captured_indices(words, c)) for c in _coalitions(words, t))
         witness = next(filter(None, tests), None)
     else:
         pairs = m * (m - 1) // 2  # every pair up to the failing one, if any
-        if kept.backend is None:
-            kept.chunks = _join_profile(words) if 2**n <= m else None
-            kept.backend = "pairs" if kept.chunks is None else "join"
         if kept.stats is not None and least > kept.stats.max_capture:
             return Verdict(True, None, kept.stats)  # no pair captures enough to fail
         histogram = np.zeros(max(m + 1, 3), dtype=np.int64)  # pairs by captured-set size

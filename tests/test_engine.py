@@ -2,11 +2,12 @@
 join, against the per-coalition reference deciders (``reference_verify``)
 and the brute-force oracles.
 
-A reduced code with 2^n <= M takes the join, unless it would expand more
-triples than the code has pairs, and any other code the pair engine; so
-each check also runs with each backend forced, the join on every code of
-at most 10 positions.  Small codes fit one block, so both backends also
-run with blocks of a pair or two.  The pair engine counts each pair's
+A reduced (M, n) code takes the join when its grouping, (2^n - 2) M cells,
+is at most its M(M - 1)/2 pairs and the join expands no more triples than
+that, and any other code the pair engine; so each check also runs with
+each backend forced, the join on every code of at most 10 positions.
+Small codes fit one block, so both backends also run with blocks of a
+pair or two.  The pair engine counts each pair's
 captured set from per-symbol codeword bitmasks, so the brute-force check
 also runs on codes with 63 to 129 codewords, whose masks span one to three
 64-bit limbs.  Every scan reduces the code first (a one-hot composition to
@@ -40,6 +41,7 @@ from conftest import ZERO_PLUS_UNITS, ZERO_UNITS_ONES, brute_captured, random_co
 from sepcode import verify
 from sepcode.codes import Code, captured_indices
 from sepcode.construct import build_length3, one_hot_compose, optimal_s
+from test_acceptance import REPORTED_SIZES
 
 
 @contextmanager
@@ -66,7 +68,7 @@ def engine_setting(kind: str):
 
 
 ENGINE_SETTINGS = (
-    "dense",
+    "default",
     "pairs",
     "pairs+tiny-blocks",
     "join",
@@ -213,7 +215,7 @@ def test_both_backends_give_the_profile_of_captured_sets(code) -> None:
     sizes = [len(brute_captured(code, pair)) for pair in pairs]
     want = ([r for r, size in enumerate(sizes) if size > 2], [s for s in sizes if s > 2])
     unlimited = mock.patch.object(verify, "_JOIN_TRIPLES_PER_PAIR", np.inf)
-    for kind in ("dense", "tiny-blocks"):
+    for kind in ("default", "tiny-blocks"):
         with engine_setting(kind), unlimited:  # the join past its triple limit too
             for given_or_reduced in (code.array, verify._reduce(code)):
                 assert _profile(verify._pair_profile, given_or_reduced) == want, kind
@@ -270,7 +272,7 @@ KEY_EDGE_CODES = {
 
 
 @pytest.mark.parametrize("name", sorted(KEY_EDGE_CODES))
-def test_codes_at_the_edge_of_a_64_bit_key(name) -> None:
+def test_codes_whose_alphabet_product_reaches_2_pow_64(name) -> None:
     code = KEY_EDGE_CODES[name]
     assert_matches_reference(code, ts=(2, 3))
     pairs = list(combinations(range(code.M), 2))
@@ -296,18 +298,35 @@ def test_short_codes_take_the_join_and_long_ones_the_pair_engine() -> None:
     def refuse(words: np.ndarray):
         raise AssertionError(f"the other backend should take (M, n) = {words.shape}")
 
-    q_ary = build_length3(12, 3)
-    # the Fano plane's 21 (point, line) incidences: a length-2 code
+    # the join runs when its (2^n - 2) M cells of grouping are at most the M(M - 1)/2
+    # pairs: every size-table row (972 cells for 13,041 pairs at q = 12), its
+    # composition, reduced to it, and the Fano plane's 21 (point, line) incidences
+    rows = [build_length3(q, optimal_s(q).s) for q in REPORTED_SIZES]
     fano = Code.from_words([((k + d) % 7, k) for k in range(7) for d in (0, 1, 3)])
-    for code in (q_ary, one_hot_compose(q_ary), fano):  # 2^n <= M once reduced
+    for code in rows + [one_hot_compose(row) for row in rows] + [fano]:
         with mock.patch.object(verify, "_pair_profile", refuse):
             assert verify.capture_stats(code).pairs == code.M * (code.M - 1) // 2
+    # the pair engine takes the rest, before the join groups anything: 2^8 > 9
+    # words, the length-10 binary cube (1,046,528 cells for 523,776 pairs) and a
+    # (10, 1500, 3) code (1,533,000 cells for 1,124,250 pairs)
+    cube = Code.from_words(product((0, 1), repeat=10))
+    ternary = Code.from_words(random.Random(29).sample(list(product(range(3), repeat=10)), 1500), q=3)
+    for code in (_zero_and_units(8), cube, ternary):
+        with mock.patch.object(verify, "_join_profile", refuse):
+            stats = verify.capture_stats(code)
+        with engine_setting("pairs"):
+            assert stats == verify.capture_stats(fresh(code)), code.M
+    # all 4,096 binary words of length 12: the first framing pair, no grouping
     with mock.patch.object(verify, "_join_profile", refuse):
-        assert verify.capture_stats(_zero_and_units(8)).max_capture == 3  # 2^8 > 9
-    # 2^5 <= 32, but the join would expand 18,240 triples for 496 pairs
-    cube = Code.from_words(product((0, 1), repeat=5))
-    assert verify._join_profile(verify._reduce(cube)) is None
-    assert verify.capture_stats(cube).histogram[-1] == (32, 16)
+        verdict = verify.is_fpc(Code.from_words(product((0, 1), repeat=12)), 2)
+    assert verdict.witness == verify.FramingWitness((0, 3), 1, (0, 1, 2, 3))
+    # the join's own triple check declines what passes the grouping rule: the 27
+    # ternary words of length 3 group in 162 cells for 351 pairs, but their
+    # 2,592 triples pass the pairs
+    ternary_cube = Code.from_words(product(range(3), repeat=3))
+    with counted("_join_profile") as (join,):
+        assert verify.capture_stats(ternary_cube).histogram[-1] == (8, 108)
+    assert join.call_count == 1 and vars(ternary_cube)["_profile"].chunks is None
 
 
 def test_stats_report_the_capture_histogram() -> None:
@@ -499,7 +518,7 @@ def test_an_equal_code_computes_its_own_profile() -> None:
     assert (reduce.call_count, join.call_count) == (1, 1)
     # the kept chunks are read-only and their counts take the smallest unsigned dtype
     kept = vars(code)["_profile"]
-    assert kept.backend == "join" and kept.stats == stats
+    assert vars(kept)["chunks"] and kept.stats == stats  # the join's, kept when first read
     for ranks, counts in kept.chunks:
         assert counts.dtype == np.uint8 and not ranks.flags.writeable and not counts.flags.writeable
 
@@ -626,7 +645,7 @@ def test_the_join_keeps_the_histogram_of_its_first_complete_walk() -> None:
 def test_deciders_in_any_order_failing_first_repeat_a_fresh_code(code, compose, data) -> None:
     code = one_hot_compose(code) if compose else code
     names = data.draw(st.permutations(sorted(T2_ENTRY_POINTS) if code.n == 3 else ANY_LENGTH))
-    for kind in ("dense", "pairs", "join"):
+    for kind in ("default", "pairs", "join"):
         with engine_setting(kind):
             want = {name: T2_ENTRY_POINTS[name](fresh(code)) for name in names}
             kept = fresh(code)

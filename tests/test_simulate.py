@@ -181,8 +181,18 @@ def test_threshold_tolerates_rounding_at_the_edges() -> None:
     stats = DetectionStatistics(values=np.array([1.0 - 1e-9, 1e-9, 0.25]))
     assert threshold(stats, 1e-6) == fs({1}, {0}, {0, 1})
     eps = 1e-6
-    stats = DetectionStatistics(values=np.array([1 - eps, eps, np.nan, np.inf, -np.inf]))
-    assert threshold(stats, eps) == fs({1}, {0}, {0, 1}, {1}, {0})
+    stats = DetectionStatistics(values=np.array([1 - eps, eps, 0.5]))
+    assert threshold(stats, eps) == fs({1}, {0}, {0, 1})
+
+
+@pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+def test_threshold_refuses_a_statistic_that_is_not_finite(bad) -> None:
+    # NaN lies in neither band: unrefused it read as a free position, {0, 1}
+    for at in range(3):
+        values = [1.0, 0.0, 0.5]
+        values[at] = bad
+        with pytest.raises(ValueError, match=f"position {at} is {bad}, not finite"):
+            threshold(DetectionStatistics(values=np.array(values)))
 
 
 def test_threshold_rejects_out_of_range_eps() -> None:

@@ -429,6 +429,12 @@ def test_shortened_check_equals_reference(code: Code) -> None:
 
 @settings(max_examples=300, deadline=None)
 @given(length3_codes())
+def test_the_two_shortened_check_references_agree(code: Code) -> None:
+    assert ref.shortened_sc_check_bucketed(code) == ref.shortened_sc_check(code)
+
+
+@settings(max_examples=300, deadline=None)
+@given(length3_codes())
 def test_the_ranked_lexsort_rule_of_the_shortened_check_equals_reference(code: Code) -> None:
     # q <= 10**6 takes the full keys and q >= 2**40 the ranked lexsort; under
     # a key limit of 1, every code takes the lexsort
@@ -462,14 +468,17 @@ def test_shortened_check_on_a_position_of_45000_symbols_at_q_2_pow_63() -> None:
     code = wide_code()
     assert len(np.unique(code.array[:, 0])) == 45_000  # ranked, then the lexsort
     assert shortened_sc_check(code).holds
+    assert ref.shortened_sc_check_bucketed(code).holds
     q = 2**63
     # two new symbols at position 0, each with the same two shortened words
     extra = ((q - 2, 0, q - 1), (q - 2, 1, 5), (q - 1, 0, q - 1), (q - 1, 1, 5))
-    verdict = shortened_sc_check(wide_code(extra))
+    failing = wide_code(extra)
+    verdict = shortened_sc_check(failing)
     assert verdict.witness == OverlapWitness(
         position=0, symbols=(q - 2, q - 1), shared=((0, q - 1), (1, 5))
     )
-    revalidate(wide_code(extra), verdict)
+    assert verdict == ref.shortened_sc_check_bucketed(failing)
+    revalidate(failing, verdict)
 
 
 def test_a_shortened_check_witness_that_does_not_recheck_raises() -> None:
