@@ -267,35 +267,14 @@ def _cmd_compose(args) -> _Outcome:
     return EXIT_OK, {"code": args.code, "out": args.out}, result, [line]
 
 
-def _add_json_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--json",
-        nargs="?",
-        const="-",
-        default=None,
-        metavar="PATH",
-        help="write the JSON run report to PATH, or to stdout when no PATH given",
-    )
-
-
-def build_parser() -> _Parser:
-    parser = _Parser(
-        prog="sepcode",
-        description="Anti-collusion fingerprinting codes: construct, verify, attack, trace.",
-    )
-    parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {__version__}"
-    )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("construct", help="build a length-3 code and write it to a file")
+def _construct_arguments(p: _Parser) -> None:
     p.add_argument("--q", type=int, required=True, help="alphabet size")
     p.add_argument("--s", type=int, default=None, help="marker count (default: optimal for q)")
     p.add_argument("--out", required=True, help="output code file")
-    _add_json_flag(p)
     p.set_defaults(handler=_cmd_construct)
 
-    p = sub.add_parser("verify", help="check a property of a code file")
+
+def _verify_arguments(p: _Parser) -> None:
     p.add_argument("code", help="code file")
     p.add_argument("--property", required=True, choices=("fpc", "sc", "ssc"))
     p.add_argument("--t", type=int, default=2, help="coalition bound (default 2)")
@@ -304,20 +283,18 @@ def build_parser() -> _Parser:
         action="store_true",
         help="use the literal exponential check (ssc only)",
     )
-    _add_json_flag(p)
     p.set_defaults(handler=_cmd_verify)
 
-    p = sub.add_parser("trace", help="identify colluders from a feasible-set line")
+
+def _trace_arguments(p: _Parser) -> None:
     p.add_argument("code", help="binary code file")
     p.add_argument("--r", required=True, help="feasible set, n tokens from {0,1,*}")
     p.add_argument("--t", type=int, default=2, help="coalition bound (default 2)")
     p.add_argument("--algorithm", choices=("fpc", "ssc"), default="ssc")
-    _add_json_flag(p)
     p.set_defaults(handler=_cmd_trace)
 
-    p = sub.add_parser(
-        "simulate", help="embed, average, and detect; optionally chain into tracing"
-    )
+
+def _simulate_arguments(p: _Parser) -> None:
     p.add_argument("code", help="binary code file")
     p.add_argument("--colluders", required=True, help="1-based labels, e.g. 2,3")
     p.add_argument("--dim", type=int, default=None, help="host dimension (default: code length)")
@@ -326,20 +303,62 @@ def build_parser() -> _Parser:
     p.add_argument("--eps", type=float, default=1e-6, help="threshold tolerance")
     p.add_argument("--then-trace", action="store_true", help="run the tracer on the detected R")
     p.add_argument("--t", type=int, default=2, help="coalition bound for --then-trace")
-    _add_json_flag(p)
     p.set_defaults(handler=_cmd_simulate)
 
-    p = sub.add_parser("compose", help="one-hot compose a q-ary code into a binary one")
+
+def _compose_arguments(p: _Parser) -> None:
     p.add_argument("code", help="q-ary code file")
     p.add_argument("--out", required=True, help="output code file")
-    _add_json_flag(p)
     p.set_defaults(handler=_cmd_compose)
 
+
+# each subcommand's help line, and the function adding its arguments (but --json) and handler
+_SUBCOMMANDS = {
+    "construct": ("build a length-3 code and write it to a file", _construct_arguments),
+    "verify": ("check a property of a code file", _verify_arguments),
+    "trace": ("identify colluders from a feasible-set line", _trace_arguments),
+    "simulate": (
+        "embed, average, and detect; optionally chain into tracing",
+        _simulate_arguments,
+    ),
+    "compose": ("one-hot compose a q-ary code into a binary one", _compose_arguments),
+}
+
+
+def build_parser(argv: Sequence[str] = ()) -> _Parser:
+    """The sepcode parser, with the arguments of the subcommand ``argv`` starts with.
+
+    argparse reads no other subcommand's arguments, so only that one gets
+    them; when ``argv`` names none (``-h``, ``--version``, nothing), every
+    subcommand does.  Help and usage errors read the same either way.
+    """
+    parser = _Parser(
+        prog="sepcode",
+        description="Anti-collusion fingerprinting codes: construct, verify, attack, trace.",
+    )
+    parser.add_argument(
+        "--version", action="version", version=f"%(prog)s {__version__}"
+    )
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    named = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    for name, (help_line, add_arguments) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        if named in (None, name):
+            add_arguments(p)
+            p.add_argument(
+                "--json",
+                nargs="?",
+                const="-",
+                default=None,
+                metavar="PATH",
+                help="write the JSON run report to PATH, or to stdout when no PATH given",
+            )
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
         exit_code, inputs, result, lines = args.handler(args)

@@ -17,13 +17,15 @@ materialized as word lists except through the bounded enumeration helper.
 
 from __future__ import annotations
 
+import io
 import re
 from collections.abc import Iterable, Iterator, Sequence
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass, field
 from itertools import product
 from mmap import ACCESS_READ, mmap
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -112,16 +114,24 @@ def _first_fault(words, n: int, q: int) -> str:
     return "codewords must be integer sequences"
 
 
-def _row_keys(columns: np.ndarray) -> np.ndarray:
-    """A uint64 key per word, its digits down ``columns``: a splitmix64 chain, which may collide."""
-    keys = np.zeros(columns.shape[1], np.uint64)
-    for col in columns:
-        keys ^= col
+def _row_keys(words: np.ndarray) -> np.ndarray:
+    """A uint64 key per row, its words down ``words``: a splitmix64 chain, which may collide."""
+    keys = np.zeros(words.shape[1], np.uint64)
+    for word in words:
+        keys ^= word
         for shift, factor in _SPLITMIX:
             keys ^= keys >> shift
             keys *= factor
         keys ^= keys >> np.uint64(31)
     return keys
+
+
+def _row_words(rows: np.ndarray) -> np.ndarray:
+    """(m, n) rows as a (W, m) uint64 array: each row's bytes, zero-padded to W whole words."""
+    per_word = 8 // rows.itemsize
+    padded = np.zeros((len(rows), -(-rows.shape[1] // per_word) * per_word), rows.dtype)
+    padded[:, : rows.shape[1]] = rows
+    return np.ascontiguousarray(padded.view(np.uint64).T)
 
 
 def _code_array(words, n: int, q: int) -> tuple[np.ndarray, np.ndarray | None]:
@@ -131,7 +141,9 @@ def _code_array(words, n: int, q: int) -> tuple[np.ndarray, np.ndarray | None]:
     Faults are reported for the first faulty codeword in order: wrong
     length, then a symbol outside the alphabet, then a repeat of an
     earlier codeword.  Repeats are sorted out on ``_row_keys``, of a binary
-    row's limbs (kept as ``Code.packed``), and confirmed on the rows.
+    row's limbs (kept as ``Code.packed``) or a q-ary row's ``_row_words``,
+    and confirmed on those words.  A binary code's symbols are checked by
+    ``pack_bits`` as it packs them, so the rows are read once.
     """
     dtype = _symbol_dtype(q)
     try:
@@ -140,12 +152,16 @@ def _code_array(words, n: int, q: int) -> tuple[np.ndarray, np.ndarray | None]:
         raw = None
     if raw is None or raw.ndim != 2 or raw.shape[1] != n or raw.dtype.kind not in "biu":
         raise ValueError(_first_fault(words, n, q))
-    valid = len(raw)  # rows before the first one holding a symbol outside 0..q-1
-    if (raw.dtype.kind == "i" and raw.min() < 0) or raw.max() >= q:
+    valid, limbs = len(raw), None  # rows before the first one holding a symbol outside 0..q-1
+    if q == 2:
+        with suppress(ValueError):  # a cell outside {0, 1}, found below
+            limbs = pack_bits(raw)
+    if limbs is None and ((raw.dtype.kind == "i" and raw.min() < 0) or raw.max() >= q):
         valid = np.flatnonzero(((raw < 0) | (raw >= q)).any(axis=1))[0]
     # a Words is adopted: another Code's words, or rows built for this Code
     arr = raw.astype(dtype, copy=not isinstance(words, Words))
-    limbs = pack_bits(arr[:valid]) if q == 2 else arr[:valid].T
+    if limbs is None:
+        limbs = pack_bits(raw[:valid]) if q == 2 else _row_words(arr[:valid])
     keys = np.sort(_row_keys(limbs))
     if (keys[1:] == keys[:-1]).any():
         first = np.unique(limbs.T, axis=0, return_index=True)[1]  # exact, row by row
@@ -166,11 +182,26 @@ def pack_bits(rows: np.ndarray) -> np.ndarray:
     order, so any two packings line up limb for limb; the bits past n are 0.
     Limb k of all rows is one contiguous run: a reduction over the few limbs
     then walks whole runs, about ten times faster than along each row.
+    Rows are read once, in blocks of about ``_PARSE_BLOCK`` bytes: each is
+    checked, copied into one zeroed byte buffer padded to whole limbs and
+    packed flat.  A cell outside {0, 1} raises ValueError.
     """
     m, n = rows.shape
-    limbs = np.zeros((m, -(-n // 64) * 8), dtype=np.uint8)
-    limbs[:, : -(-n // 8)] = np.packbits(rows, axis=1)
-    return np.ascontiguousarray(limbs.view(np.uint64).T)
+    width = -(-n // 64)
+    limbs = np.empty((width, m), np.uint64)
+    step = max(1, _PARSE_BLOCK // (64 * width))
+    bits = np.zeros((min(step, m), 64 * width), np.uint8)
+    # bools need no check; viewed unsigned, a negative cell reads as at least 2**7,
+    # so one bound checks both ends of any integer dtype
+    cells = None if rows.dtype == bool else rows.view(f"u{rows.itemsize}")
+    for start in range(0, m, step):
+        if cells is not None and cells[start : start + step].max() > 1:
+            raise ValueError("pack_bits needs cells of 0 or 1")
+        block = rows[start : start + step]
+        bits[: len(block), :n] = block
+        packed = np.packbits(bits[: len(block)]).view(np.uint64)
+        limbs[:, start : start + len(block)] = packed.reshape(len(block), width).T
+    return limbs
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,7 +215,7 @@ class Code:
     adopted, its array uncopied and made read-only; other input is copied.
     Validation sorts one splitmix64 key per word, a binary one's from
     ``packed``, its uint64 bit limbs, kept read-only.  At q = 100 adopting
-    the row takes 0.25 ms and its (300, 11,250) composition 2.2 ms, 1.6 ms
+    the row takes 0.20 ms and its (300, 11,250) composition 0.96 ms, 0.65 ms
     of it ``pack_bits`` (450 kB of limbs; medians of 200 calls, 2-vCPU Xeon;
     the docs refer here).  The profile ``sepcode.verify`` keeps on a code
     holds its reduced words (33.75 kB at q = 100) and the join's chunks
@@ -435,11 +466,12 @@ def _fixed_rows(data: bytes | mmap, pos: int, n: int, m: int, q: int) -> np.ndar
     base, bound = _row_base(n), min(q, 10)
     out = np.empty((m, n), _symbol_dtype(q))
     step = max(1, _PARSE_BLOCK // (2 * n))
+    symbols = np.empty((min(step, m), n), "<u2")  # one block's symbols, reused
     for start in range(0, m, step):
-        symbols = cells[start : start + step] - base
-        if symbols.max() >= bound:
+        block = np.subtract(cells[start : start + step], base, out=symbols[: m - start])
+        if block.max() >= bound:
             return None
-        out[start : start + step] = symbols
+        out[start : start + step] = block
     return out
 
 
@@ -556,15 +588,16 @@ def _name_table(symbols: np.ndarray) -> np.ndarray:
     return table
 
 
-def _text_blocks(code: Code) -> Iterator[np.ndarray]:
-    """The code's text as ASCII byte arrays: the header, then codeword rows per block."""
-    yield np.frombuffer(f"{code.n} {code.M} {code.q}\n".encode(), np.uint8)
+def _write_text(out: BinaryIO, code: Code) -> None:
+    """Write the code's text to ``out``: the header, then codeword rows a block at a time."""
+    out.write(f"{code.n} {code.M} {code.q}\n".encode())
     hi = int(code.array.max())
-    if hi < 10:  # fixed-width rows "d d ... d\n"
+    if hi < 10:  # fixed-width rows "d d ... d\n", formed in one reused buffer
         base = _row_base(code.n)
+        cells = np.empty((min(_ITER_BLOCK, code.M), code.n), "<u2")
         for start in range(0, code.M, _ITER_BLOCK):
-            cells = code.array[start : start + _ITER_BLOCK] + base  # <u2 unless symbols are wider
-            yield cells.astype("<u2", copy=False).view(np.uint8)
+            block = code.array[start : start + _ITER_BLOCK]
+            out.write(np.add(block, base, out=cells[: len(block)]))
         return
     # index the names by symbol value unless the table would outgrow the code
     by_value = hi < code.array.size
@@ -574,12 +607,14 @@ def _text_blocks(code: Code) -> Iterator[np.ndarray]:
         block = code.array[start : start + _ITER_BLOCK]
         cells = np.take(table, block if by_value else np.searchsorted(symbols, block), axis=0)
         cells[:, -1, -1] = _NEWLINE  # (rows, n, name width): the last space of a row
-        yield cells[cells != 0]  # in row order, without the zero bytes padding narrower names
+        out.write(cells[cells != 0])  # in row order, without the zero bytes padding narrower names
 
 
 def format_code_text(code: Code) -> str:
     """Header "n M q", then one line of space-separated symbols per codeword."""
-    return b"".join(_text_blocks(code)).decode()
+    text = io.BytesIO()
+    _write_text(text, code)
+    return text.getvalue().decode()
 
 
 def _decode(raw: bytes) -> str:
@@ -612,7 +647,7 @@ def read_code_file(path: str | Path) -> Code:
 def write_code_file(path: str | Path, code: Code) -> None:
     """Write ``format_code_text(code)`` block by block, never holding the whole text."""
     with open(path, "wb") as out:
-        out.writelines(_text_blocks(code))
+        _write_text(out, code)
 
 
 # The binary feasible-set codec.  A position of a binary R is pinned to 0 or

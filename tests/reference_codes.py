@@ -5,12 +5,13 @@ numpy block paths and the cheaper checks replaced.
 Each body is the library's earlier implementation, kept word for word:
 ``str.splitlines`` over the whole text and one ``int`` call per token;
 one ``str.join`` per codeword; a range mask over every symbol and one
-unpacked row per duplicate key.  The equivalence tests require
+unpacked row per duplicate key; ``np.packbits`` along the rows of the
+whole code, then a transposed copy.  The equivalence tests require
 ``sepcode.codes.parse_code_text`` to return an equal Code or raise the same
 CodeFormatError message on the same line, ``format_code_text`` to return
-the same text, and ``_code_array`` to return the same array, with
-``pack_bits`` of it for a binary code (the one line added to the old
-validator), or raise the same message.
+the same text, ``pack_bits`` to return the same limbs, and ``_code_array``
+to return the same array, with ``pack_bits`` of it for a binary code (the
+one line added to the old validator), or raise the same message.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from sepcode.codes import (
     Words,
     _first_fault,
     _symbol_dtype,
-    pack_bits,
 )
 
 
@@ -83,6 +83,14 @@ def format_code_text(code: Code) -> str:
         rows = code.array[start : start + _ITER_BLOCK].tolist()
         lines.extend(" ".join(map(names.__getitem__, w)) for w in rows)
     return "\n".join(lines) + "\n"
+
+
+def pack_bits(rows: np.ndarray) -> np.ndarray:
+    """(m, n) 0/1 rows as a (ceil(n/64), m) uint64 array: row i becomes column i."""
+    m, n = rows.shape
+    limbs = np.zeros((m, -(-n // 64) * 8), dtype=np.uint8)
+    limbs[:, : -(-n // 8)] = np.packbits(rows, axis=1)
+    return np.ascontiguousarray(limbs.view(np.uint64).T)
 
 
 def code_array(words, n: int, q: int) -> tuple[np.ndarray, np.ndarray | None]:

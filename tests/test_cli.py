@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 from pathlib import Path
 from unittest import mock
@@ -391,3 +393,30 @@ def test_every_subcommand_emits_one_report_envelope(
     target = tmp_path / "report.json"
     assert main(argv + ["--json", str(target)]) == exit_code
     assert target.read_bytes() == stdout.encode()
+
+
+def parsed(parser, argv: list[str]) -> tuple[str, str]:
+    """What parsing ``argv`` prints, then the namespace it returns or how it stops."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            outcome = repr(parser.parse_args(argv))
+        except SystemExit as exc:
+            outcome = f"exit {exc.code}"
+        except ValueError as exc:
+            outcome = f"error {exc}"
+    return out.getvalue(), outcome
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["-h"], ["--version"], [], ["bogus"]]
+    + [[command, "-h"] for command in SUBCOMMAND_RUNS]
+    + [[command] for command in SUBCOMMAND_RUNS]  # missing arguments
+    + [[command] + rest for command, (rest, _) in SUBCOMMAND_RUNS.items()],
+    ids=" ".join,
+)
+def test_a_parser_built_for_argv_reads_it_like_the_full_parser(argv) -> None:
+    # build_parser gives only the subcommand argv names its arguments; help,
+    # usage, errors and the parsed namespace must read as with all of them
+    assert parsed(cli.build_parser(argv), argv) == parsed(cli.build_parser(), argv)

@@ -276,6 +276,22 @@ def test_other_plain_bodies_fall_back_to_the_tokenizer(text: str) -> None:
     tokenize.assert_called_once()
 
 
+@pytest.mark.parametrize("cell", ["2", ":", "x"])
+@pytest.mark.parametrize("block", [6 * 300, codes._PARSE_BLOCK])  # 3 and 436 rows a block
+def test_a_bad_cell_in_the_short_last_block_of_rows_falls_back(cell: str, block: int) -> None:
+    code = one_hot_compose(build_length3(100, optimal_s(100).s)).words[:877]
+    text = format_code_text(Code(n=300, M=877, q=2, words=code))
+    at = len(text) - 4  # a cell of the last row, in a block shorter than the others
+    text = text[:at] + cell + text[at + 1 :]
+    with (
+        mock.patch.object(codes, "_PARSE_BLOCK", block),
+        mock.patch.object(codes, "_tokenize", wraps=codes._tokenize) as tokenize,
+    ):
+        assert outcome(parse_code_text, text) == outcome(ref.parse_code_text, text)
+    tokenize.assert_called_once()  # the fixed-width rows declined
+    assert outcome(ref.parse_code_text, text)[2] == 878  # the line of the last row
+
+
 # ------------------------------------------------------- format and round trip
 
 
@@ -345,6 +361,32 @@ def test_composed_code_round_trips_in_many_blocks() -> None:
         assert text == ref.format_code_text(code)
         with mock.patch.object(codes, "_PARSE_BLOCK", 1000), block_path_only():
             assert parse_code_text(text) == code
+
+
+def distinct_rows(m: int, n: int, q: int) -> np.ndarray:
+    """m distinct int64 rows of n symbols below q: row i spells i in base q, then fills in."""
+    rows = (np.arange(m)[:, None] * 7 + np.arange(n)) % q
+    rest, place = np.arange(m), 0
+    while rest.any():
+        rows[:, place], rest, place = rest % q, rest // q, place + 1
+    return rows
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        Code(n=20, M=2051, q=2, words=distinct_rows(2051, 20, 2)),  # two full blocks, then 3 rows
+        build_length3(100, optimal_s(100).s),  # names indexed by value
+        Code(n=3, M=2051, q=2**40, words=distinct_rows(2051, 3, 2**40)),  # ranked names
+    ],
+    ids=["binary", "q=100", "q=2**40"],
+)
+def test_file_writes_equal_format_and_reference_across_row_blocks(tmp_path, code: Code) -> None:
+    assert code.M >= 2 * codes._ITER_BLOCK + 3
+    path = tmp_path / "code"
+    codes.write_code_file(path, code)
+    text = ref.format_code_text(code)
+    assert path.read_bytes() == format_code_text(code).encode() == text.encode()
 
 
 # --------------------------------------------------------------------- files
@@ -590,3 +632,34 @@ def test_binary_codes_are_packed_once_by_validation(tmp_path, build: str) -> Non
         packed = code.packed
         assert pack.call_count == 1 and code.packed is packed
     assert np.array_equal(packed, codes.pack_bits(code.array)) and not packed.flags.writeable
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 63, 64, 65, 300])
+def test_pack_bits_equals_reference_at_block_edges(n: int) -> None:
+    step = max(1, codes._PARSE_BLOCK // (64 * -(-n // 64)))  # rows pack_bits packs a block
+    rng = np.random.default_rng(n)
+    for m in (1, step - 1, step, step + 1, 3 * step + 5):
+        rows = rng.integers(0, 2, (m, n), np.uint8)
+        with mock.patch.object(np, "packbits", wraps=np.packbits) as pack:
+            packed = codes.pack_bits(rows)
+        assert pack.call_count == -(-m // step)
+        assert packed.dtype == np.uint64 and np.array_equal(packed, ref.pack_bits(rows))
+        for dtype in (bool, np.int64):
+            assert np.array_equal(codes.pack_bits(rows.astype(dtype)), packed)
+
+
+@pytest.mark.parametrize("bad", [2, 256, -1, 2**63 - 1])
+def test_binary_input_with_a_bad_cell_in_the_last_block_is_refused(bad: int) -> None:
+    # n = 65 packs 2,048 rows a block, so rows 4,096 on are the last block
+    words = distinct_rows(4101, 65, 2)
+    words[4099, 64] = bad  # 256 must not read as 0 in the bytes pack_bits packs
+    words[4100] = words[0]  # a repeat after the faulty row is not reported
+    expect = validated(ref.code_array, words, 65, 2)
+    assert expect == ("error", f"symbol {bad} outside alphabet 0..1")
+    assert validated(codes._code_array, words, 65, 2) == expect
+    words[4098] = words[1]  # a repeat before it is
+    expect = validated(ref.code_array, words, 65, 2)
+    assert expect[1].startswith("duplicate codeword (")
+    assert validated(codes._code_array, words, 65, 2) == expect
+    with pytest.raises(ValueError, match="cells of 0 or 1"):
+        codes.pack_bits(words)
